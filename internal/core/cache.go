@@ -60,8 +60,8 @@ type cacheKey struct {
 type codeCache struct {
 	phys vx64.PhysMem
 	// cpus are every host CPU executing out of this cache (one per vCPU):
-	// code invalidations are shootdowns, clearing each CPU's decode caches
-	// and superblock generation counters.
+	// code invalidations are shootdowns, bumping each CPU's per-page
+	// superblock generation counters.
 	cpus    []*vx64.CPU
 	base    uint64 // physical base of the cache region
 	size    uint64
@@ -147,7 +147,9 @@ func (c *codeCache) invalidatePage(gpaPage uint64) int {
 	return n
 }
 
-// flushAll drops everything and resets the allocator.
+// flushAll drops everything and resets the allocator. Its cost is the
+// translations dropped plus one generation bump per code-region page on
+// each host CPU.
 func (c *codeCache) flushAll() {
 	c.blocks = make(map[cacheKey]*Block)
 	c.byPage = make(map[uint64][]*Block)
@@ -155,7 +157,3 @@ func (c *codeCache) flushAll() {
 	c.Flushes++
 	c.invalidateCode(c.base, c.size)
 }
-
-// hvmDirect converts a physical address to its direct-map VA. (Local copy
-// to avoid the import cycle with hvm in this file's context.)
-func hvmDirect(pa uint64) uint64 { return 0xFFFF_8000_0000_0000 + pa }

@@ -7,6 +7,7 @@ package core_test
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"captive/internal/core"
@@ -435,5 +436,37 @@ func TestEngineRecursionDifferential(t *testing.T) {
 	runCaptive(t, e, build())
 	if e.Reg(0) != 2584 {
 		t.Errorf("fib(18) = %d, want 2584", e.Reg(0))
+	}
+}
+
+// TestConstructionAllocIndependentOfCodeCache pins that a machine's
+// construction memory follows the code it will hold, not its code-cache
+// size: quadrupling CodeCacheBytes from 4 to 16 MiB may only add the extra
+// 12 MiB of host-physical backing (vm.Phys), plus small change. Per-byte
+// bookkeeping over the code region (a decode index per vCPU, an exit table
+// per machine) would add several times the region size.
+func TestConstructionAllocIndependentOfCodeCache(t *testing.T) {
+	module := ga64.MustModule()
+	alloc := func(codeBytes int) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		vm, err := hvm.New(hvm.Config{GuestRAMBytes: 8 << 20, CodeCacheBytes: codeBytes, PTPoolBytes: 2 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := core.New(vm, ga64.Port{}, module)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		runtime.KeepAlive(e)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	small, large := alloc(4<<20), alloc(16<<20)
+	const limit = 14 << 20 // 12 MiB of extra backing plus slack
+	if extra := int64(large) - int64(small); extra >= limit {
+		t.Errorf("16 MiB code cache allocates %.1f MiB more than 4 MiB at construction, want < %d MiB",
+			float64(extra)/(1<<20), limit>>20)
 	}
 }

@@ -79,14 +79,17 @@ const dispatchSlice = 500_000
 
 // TestDispatchSteadyStateAllocFree is the allocation gate: once the loop is
 // warm, a full budget slice through dispatcher, chains and superblocks must
-// not allocate — on the Captive engine and the QEMU baseline.
+// not allocate — on the Captive engine and the QEMU baseline. The unchained
+// case sends every block exit through the dispatcher's exit lookup.
 func TestDispatchSteadyStateAllocFree(t *testing.T) {
 	for _, cfg := range []struct {
-		name string
-		qemu bool
-	}{{"captive", false}, {"qemu", true}} {
+		name      string
+		qemu      bool
+		unchained bool
+	}{{"captive", false, false}, {"qemu", true, false}, {"captive-unchained", false, true}} {
 		t.Run(cfg.name, func(t *testing.T) {
 			e := newKindEngine(t, cfg.qemu)
+			e.ChainingOff = cfg.unchained
 			loadHotLoop(t, e)
 			allocs := testing.AllocsPerRun(50, func() {
 				if err := e.Run(dispatchSlice); err != core.ErrBudget {

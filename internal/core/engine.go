@@ -124,8 +124,8 @@ type Engine struct {
 	iTLB     [itlbSize]itlbEntry
 	iTLBOver map[uint64]itlbEntry
 
-	// lastExit is the most recent dispatch-TRAP exit (an index into the
-	// shared exit tables, see shared.exitByPA in smp.go).
+	// lastExit is the most recent dispatch-TRAP exit (resolved through
+	// shared.exits in smp.go).
 	lastExit   exitRef
 	lastExitOK bool
 
@@ -620,12 +620,7 @@ func (e *Engine) execute(blk *Block, pc uint64, el uint8, limit uint64) error {
 				// Normal exit to dispatcher.
 				e.rec.Emit(trace.BlockExit, 0, e.VirtualTime(), cpu.R[vx64.RPC], 0)
 				e.SetPC(cpu.R[vx64.RPC])
-				if off := e.trapPA(trap) - e.vm.Layout.CodePA; off < uint64(len(e.sh.exitByPA)) {
-					if id := e.sh.exitByPA[off]; id != 0 {
-						e.lastExit = e.sh.exitArena[id-1]
-						e.lastExitOK = true
-					}
-				}
+				e.lastExit, e.lastExitOK = e.sh.exits[e.trapPA(trap)]
 				return nil
 			}
 			return fmt.Errorf("core: unexpected soft trap %d at rip %#x", trap.Vec, trap.RIP)
@@ -727,11 +722,10 @@ func (e *Engine) handleHostFault(trap vx64.Trap) (bool, error) {
 	if write && e.mmu.isProtected(gpaPage) {
 		// Self-modifying code: drop the page's translations, lift the
 		// protection on every hart and retry the store (§2.6). The
-		// invalidation is a shootdown — it clears every sibling's decode
-		// caches and superblock generations, so it runs with siblings
-		// parked in parallel mode; a sibling's stale read-only mapping
-		// re-faults once, sees the page unprotected and reinstalls
-		// writable.
+		// invalidation is a shootdown — it bumps every sibling's
+		// superblock generations, so it runs with siblings parked in
+		// parallel mode; a sibling's stale read-only mapping re-faults
+		// once, sees the page unprotected and reinstalls writable.
 		e.rec.Emit(trace.SMCInval, 0, e.VirtualTime(), guestPC, gpaPage<<12)
 		e.Stats.SMCInvals++
 		e.sh.exclusive(e, func() {

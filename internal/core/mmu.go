@@ -134,6 +134,11 @@ func (m *hostMMU) install(mode uint64, hostVA, hpa uint64, writable, user bool) 
 	}
 	idx := hostVA >> vx64.PageShift & 0x1FF
 	m.phys.W64(table+idx*8, hpa&vx64.PTEAddrMask|flags)
+	// Drop any cached translation of hostVA: a read-only entry filled by
+	// an earlier access (a load from a write-protected code page) would
+	// otherwise outlive a writable reinstall and re-fault the store
+	// forever. The faulting access refills the slot on retry either way.
+	m.cpu.Invlpg(hostVA)
 	if writable {
 		m.installedW[hpa>>vx64.PageShift] = true
 	}

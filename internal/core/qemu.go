@@ -241,13 +241,15 @@ func (e *Engine) qemuFill(c *vx64.CPU) vx64.HelperAction {
 			}
 		}
 	}
-	// Fill the TLB entry.
+	// Fill the TLB entry. A page that still holds translations gets no
+	// write tag (QEMU's TLB_NOTDIRTY): after a read fill of a code page,
+	// the next store must still take this slow path and invalidate them.
 	vaPage := va &^ uint64(0xFFF)
 	gpaPage := gpa &^ uint64(0xFFF)
 	idx := int(va >> 12 & (softTLBSize - 1))
 	pa := e.softTLBEntryPA(idx)
 	e.vm.Phys.W64(pa+softTLBTagR, vaPage)
-	if w.Write {
+	if w.Write && !e.cache.pageHasCode(gpa>>12) {
 		e.vm.Phys.W64(pa+softTLBTagW, vaPage)
 	} else {
 		e.vm.Phys.W64(pa+softTLBTagW, ^uint64(0))

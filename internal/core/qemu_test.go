@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/ga64/asm"
 	"captive/internal/hvm"
+	"captive/internal/trace"
 )
 
 func newQemuEngine(t *testing.T) *core.Engine {
@@ -211,5 +213,97 @@ func TestQemuVsCaptiveDifferential(t *testing.T) {
 		if ec.NZCV() != eq.NZCV() {
 			t.Fatalf("trial %d: NZCV differs", trial)
 		}
+	}
+}
+
+// flushSnapshot is a trace sink that also copies the head of the code
+// region at every TLB-flush event, i.e. just before the baseline drops its
+// translations.
+type flushSnapshot struct {
+	trace.Capture
+	code []byte // the code region
+	head []byte // its first bytes at the last flush
+}
+
+func (s *flushSnapshot) Emit(ev trace.Event) {
+	if ev.Kind == trace.TLBFlush {
+		s.head = append(s.head[:0], s.code[:64]...)
+	}
+	s.Capture.Emit(ev)
+}
+
+// TestQemuFlushReusesCodeRegion pins code-cache coherence across a
+// whole-cache flush. The baseline flushes everything on a TLB flush and
+// restarts its bump allocator, so the code translated next overwrites the
+// code-region bytes the old blocks used. The new code must run (no stale
+// superblock survives the flush), its dispatcher exits must resolve to the
+// new blocks (the post-flush loop gets chained), and no exit may resolve to
+// a block the flush dropped: every chain patch must come from a block
+// translated since the most recent flush.
+func TestQemuFlushReusesCodeRegion(t *testing.T) {
+	vm, err := hvm.New(hvm.Config{GuestRAMBytes: 8 << 20, CodeCacheBytes: 4 << 20, PTPoolBytes: 2 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := core.NewQEMU(vm, ga64.Port{}, ga64.MustModule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &flushSnapshot{code: vm.Phys[vm.Layout.CodePA:]}
+	e.SetTrace(trace.NewRecorder(sink, trace.KindMask(trace.Translate, trace.TLBFlush, trace.ChainPatch)))
+	p := asm.New(0x1000)
+	p.MovI(0, 0)
+	p.MovI(2, 40)
+	p.Label("a")
+	p.AddI(0, 0, 1)
+	p.SubsI(2, 2, 1)
+	p.BCond(ga64.CondNE, "a")
+	p.Tlbi() // the baseline drops every translation here
+	p.MovI(1, 0)
+	p.MovI(3, 0)
+	p.MovI(2, 40)
+	p.Label("b")
+	p.AddI(1, 1, 3)
+	p.Eor(3, 3, 1)
+	p.SubsI(2, 2, 1)
+	p.BCond(ga64.CondNE, "b")
+	p.Hlt(0)
+	runCaptive(t, e, p)
+
+	var x1, x3 uint64
+	for i := 0; i < 40; i++ {
+		x1 += 3
+		x3 ^= x1
+	}
+	if e.Reg(0) != 40 || e.Reg(1) != x1 || e.Reg(3) != x3 {
+		t.Errorf("x0=%d x1=%d x3=%#x, want 40 %d %#x", e.Reg(0), e.Reg(1), e.Reg(3), x1, x3)
+	}
+	if e.JIT.CacheFlushes != 1 {
+		t.Fatalf("cache flushes = %d, want 1", e.JIT.CacheFlushes)
+	}
+	if bytes.Equal(sink.head, sink.code[:64]) {
+		t.Fatal("post-flush translations did not reuse the code region's first bytes")
+	}
+
+	live := map[uint64]bool{} // guest PCs translated since the last flush
+	flushed, chainsAfter := false, 0
+	for _, ev := range sink.Events {
+		switch ev.Kind {
+		case trace.TLBFlush:
+			flushed = true
+			clear(live)
+		case trace.Translate:
+			live[ev.PC] = true
+		case trace.ChainPatch:
+			if !live[ev.Addr] {
+				t.Errorf("exit of block %#x resolved after the flush dropped it", ev.Addr)
+			}
+			if flushed {
+				chainsAfter++
+			}
+		}
+	}
+	if chainsAfter == 0 {
+		t.Error("no exit of a post-flush block was resolved and chained")
 	}
 }

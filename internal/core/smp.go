@@ -52,9 +52,11 @@ type shared struct {
 	cache *codeCache
 
 	// Exit resolution (engine.go): shared because the code region is.
-	exitByPA   []int32
-	exitArena  []exitRef
-	exitOffs   []uint64
+	// exits maps the physical address of every TRAP a dispatch epilogue
+	// can hold to its exit. Harts read it only while holding a running
+	// slot and it is written only inside exclusive, the discipline
+	// cache.blocks follows too.
+	exits      map[uint64]exitRef
 	allChained []exitRef
 
 	// profPC maps shared profile-arena slots to guest PCs (observe.go).
@@ -161,7 +163,7 @@ func newEngines(vm *hvm.VM, g port.Port, module *gen.Module) ([]*Engine, error) 
 	sh.quiesce = sync.NewCond(&sh.mu)
 	l := vm.Layout
 	sh.cache = newCodeCache(vm.Phys, vm.CPUs, l.CodePA, l.CodeSize)
-	sh.exitByPA = make([]int32, l.CodeSize)
+	sh.exits = make(map[uint64]exitRef)
 	for id := range vm.CPUs {
 		e, err := newEngine(vm, g, module, id, sh)
 		if err != nil {

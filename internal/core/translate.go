@@ -140,11 +140,7 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	blk.Exits = append(blk.Exits, exit)
 	sh := e.sh
 	for _, tp := range blk.Exits[0].trapOffsets() {
-		if off := tp - e.vm.Layout.CodePA; off < uint64(len(sh.exitByPA)) {
-			sh.exitArena = append(sh.exitArena, exitRef{blk: blk, idx: 0})
-			sh.exitOffs = append(sh.exitOffs, off)
-			sh.exitByPA[off] = int32(len(sh.exitArena))
-		}
+		sh.exits[tp] = exitRef{blk: blk, idx: 0}
 	}
 	e.cache.insert(blk)
 
@@ -194,11 +190,7 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 func (e *Engine) flushTranslations() {
 	sh := e.sh
 	e.cache.flushAll()
-	for _, off := range sh.exitOffs {
-		sh.exitByPA[off] = 0
-	}
-	sh.exitOffs = sh.exitOffs[:0]
-	sh.exitArena = sh.exitArena[:0]
+	clear(sh.exits)
 	sh.allChained = sh.allChained[:0]
 	e.JIT.CacheFlushes++
 	for _, eng := range sh.engines {

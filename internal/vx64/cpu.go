@@ -240,13 +240,10 @@ type CPU struct {
 
 	tlb [tlbSize]tlbEntry
 
-	// Decode cache over the code region [CodeLo, CodeHi) of physical
-	// memory, where the DBT engines place generated code. codeIdx maps
-	// (pa - CodeLo) to 1+index into codeArena; 0 means not decoded.
+	// Code region [CodeLo, CodeHi) of physical memory, where the DBT
+	// engines place generated code. Direct-map fetches inside it execute as
+	// superblocks, which hold their own predecoded ops.
 	CodeLo, CodeHi uint64
-	codeIdx        []int32
-	codeArena      []Inst
-	codeLens       []uint8
 
 	// One-entry fetch translation cache.
 	fetchVAPage uint64
@@ -299,32 +296,29 @@ func (c *CPU) ProfPause() {
 }
 
 // SetCodeRegion declares [lo, hi) of physical memory as the generated-code
-// region and enables the decode cache and superblock execution over it.
+// region and enables superblock execution over it. Its bookkeeping is one
+// generation counter per region page, so the CPU's own state does not grow
+// with the byte size of the region.
 func (c *CPU) SetCodeRegion(lo, hi uint64) {
 	c.CodeLo, c.CodeHi = lo, hi
-	c.codeIdx = make([]int32, hi-lo)
-	c.codeArena = c.codeArena[:0]
-	c.codeLens = c.codeLens[:0]
 	c.sbTab = make([]sbSlot, sbTableSize)
 	c.sbPageGen = make([]uint32, (hi-lo+PageSize-1)/PageSize)
 }
 
-// InvalidateCode drops cached decodes and superblocks for [pa, pa+n); the
-// engines call this after patching or overwriting generated code (chain
-// patch/unpatch, SMC page invalidation, block installation). This is the
-// coherence contract of the decode and superblock caches: code-region
-// bytes changed by any other means are stale until it is called.
+// InvalidateCode drops cached superblocks for [pa, pa+n); the engines call
+// this after patching or overwriting generated code (chain patch/unpatch,
+// SMC page invalidation, block installation, whole-cache flush). This is
+// the coherence contract of the superblock cache: code-region bytes
+// changed by any other means are stale until it is called. The cost is one
+// counter bump per covered page.
 func (c *CPU) InvalidateCode(pa, n uint64) {
-	if c.codeIdx == nil || pa >= c.CodeHi || pa+n <= c.CodeLo {
+	if c.sbPageGen == nil || pa >= c.CodeHi || pa+n <= c.CodeLo {
 		return
 	}
 	lo := max(pa, c.CodeLo) - c.CodeLo
 	hi := min(pa+n, c.CodeHi) - c.CodeLo
 	if hi <= lo {
 		return
-	}
-	for i := lo; i < hi; i++ {
-		c.codeIdx[i] = 0
 	}
 	// Superblocks are invalidated lazily: bump the generation of every
 	// covered page; runSuperblock rebuilds on generation mismatch.
@@ -515,49 +509,25 @@ func (c *CPU) ea(m Mem) uint64 {
 }
 
 // fetchInst returns the decoded instruction at RIP, using the fetch
-// translation cache and the code-region decode cache.
-func (c *CPU) fetchInst() (*Inst, int, *fault) {
+// translation cache. It decodes afresh on every call: hot code-region
+// fetches never get here (Run executes them as superblocks), so Step only
+// decodes code outside the region or the rare undecodable region entry.
+func (c *CPU) fetchInst() (Inst, int, *fault) {
 	va := c.RIP
 	vaPage := va >> PageShift
 	if !(c.fetchOK && c.fetchVAPage == vaPage && c.fetchCPL == c.CPL) {
 		pa, f := c.translate(va, AccessExec, c.CPL)
 		if f != nil {
-			return nil, 0, f
+			return Inst{}, 0, f
 		}
 		c.fetchVAPage, c.fetchPAPage, c.fetchCPL, c.fetchOK = vaPage, pa>>PageShift, c.CPL, true
 	}
 	pa := c.fetchPAPage<<PageShift | va&PageMask
-	if pa >= c.CodeLo && pa < c.CodeHi && c.codeIdx != nil {
-		inst, n, ok := c.decodeCached(pa)
-		if !ok {
-			return nil, 0, &fault{addr: va, access: AccessExec, bus: true}
-		}
-		return inst, n, nil
-	}
 	inst, n, err := Decode(c.Phys, int(pa))
 	if err != nil {
-		return nil, 0, &fault{addr: va, access: AccessExec, bus: true}
+		return Inst{}, 0, &fault{addr: va, access: AccessExec, bus: true}
 	}
-	// Slow path outside the code region: return a copy.
-	tmp := inst
-	return &tmp, n, nil
-}
-
-// decodeCached returns the decoded instruction at code-region physical
-// address pa through the decode cache, filling it on miss.
-func (c *CPU) decodeCached(pa uint64) (*Inst, int, bool) {
-	off := pa - c.CodeLo
-	if id := c.codeIdx[off]; id != 0 {
-		return &c.codeArena[id-1], int(c.codeLens[id-1]), true
-	}
-	inst, n, err := Decode(c.Phys, int(pa))
-	if err != nil {
-		return nil, 0, false
-	}
-	c.codeArena = append(c.codeArena, inst)
-	c.codeLens = append(c.codeLens, uint8(n))
-	c.codeIdx[off] = int32(len(c.codeArena))
-	return &c.codeArena[len(c.codeArena)-1], n, true
+	return inst, n, nil
 }
 
 func (c *CPU) setZS(v uint64) {
@@ -608,8 +578,8 @@ func (c *CPU) pageFault(f *fault, inst *Inst, next uint64) Trap {
 //
 // Inside the declared code region, fetches through the direct map execute
 // as superblocks (superblock.go): predecoded straight-line runs dispatched
-// without the per-instruction fetch-translation check, decode-cache probe
-// and budget comparison. The architectural outcome — registers, memory,
+// without the per-instruction fetch translation, decode and budget
+// comparison. The architectural outcome — registers, memory,
 // Stats.Insts, Stats.Cycles, trap points — is bit-identical to stepping.
 func (c *CPU) Run(cycleBudget uint64) Trap {
 	limit := c.Stats.Cycles + cycleBudget
@@ -641,7 +611,7 @@ func (c *CPU) Step() Trap {
 	next := c.RIP + uint64(n)
 	c.Stats.Insts++
 	c.Stats.Cycles += opCost[inst.Op]
-	if !c.execOp(inst, next) {
+	if !c.execOp(&inst, next) {
 		return c.trap
 	}
 	return Trap{}

@@ -278,7 +278,7 @@ func TestSuperblockPageSpanInvalidation(t *testing.T) {
 }
 
 // TestSuperblockSetCodeRegionResets ensures SetCodeRegion drops all
-// superblock state along with the decode cache.
+// superblock state.
 func TestSuperblockSetCodeRegionResets(t *testing.T) {
 	c := newTestCPU()
 	end := asm(c.Phys, 0, Inst{Op: MOVI8, Rd: 0, Imm: 5}, Inst{Op: HLT})
@@ -293,4 +293,47 @@ func TestSuperblockSetCodeRegionResets(t *testing.T) {
 		t.Errorf("SetCodeRegion did not reset superblocks: r0 = %d", c.R[0])
 	}
 	_ = end
+}
+
+// TestSuperblockUndecodableEntry covers the one code-region fetch Run hands
+// to Step: an entry whose first instruction does not decode. It must raise
+// the same exec bus fault, with the same accounting, as stepping does, both
+// when a run jumps straight at the bad byte and when a straight-line run
+// ends just before it; and a repaired, invalidated entry must then execute.
+func TestSuperblockUndecodableEntry(t *testing.T) {
+	const bad = 0xFF // not an opcode
+	for _, tc := range []struct {
+		name string
+		lead []Inst // valid instructions before the bad byte
+	}{
+		{"entry", nil},
+		{"mid-run", []Inst{{Op: MOVI8, Rd: 0, Imm: 3}, {Op: ADDri, Rd: 0, Imm: 4}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() (*CPU, uint64) {
+				c := newTestCPU()
+				at := asm(c.Phys, 0x100, tc.lead...)
+				c.Phys[at] = bad
+				return c, at
+			}
+			sb, badAt := build()
+			ref, _ := build()
+			sb.RIP, ref.RIP = directBase+0x100, directBase+0x100
+			got, want := sb.Run(1_000_000), runStepped(ref, 1_000_000)
+			if got.Kind != TrapBusError || got.Access != AccessExec ||
+				got.Addr != directBase+badAt || got.RIP != directBase+badAt {
+				t.Fatalf("trap = %+v, want exec #BUS at %#x", got, directBase+badAt)
+			}
+			if got != want || sb.Stats != ref.Stats || sb.R != ref.R {
+				t.Fatalf("superblock run diverges from stepping:\n got %+v %+v\nwant %+v %+v",
+					got, sb.Stats, want, ref.Stats)
+			}
+
+			asm(sb.Phys, badAt, Inst{Op: HLT})
+			sb.InvalidateCode(badAt, 1)
+			if tr := sb.Run(1_000_000); tr.Kind != TrapHlt {
+				t.Fatalf("after repair: trap = %v, want hlt", tr)
+			}
+		})
+	}
 }

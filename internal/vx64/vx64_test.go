@@ -528,7 +528,7 @@ func TestSelfModifyingCodeInvalidation(t *testing.T) {
 	c.InvalidateCode(0, end)
 	run(t, c, directBase)
 	if c.R[0] != 2 {
-		t.Errorf("decode cache not invalidated: r0=%d", c.R[0])
+		t.Errorf("superblock not invalidated: r0=%d", c.R[0])
 	}
 }
 
