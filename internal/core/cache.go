@@ -58,7 +58,7 @@ type cacheKey struct {
 }
 
 type codeCache struct {
-	phys vx64.PhysMem
+	mem *vx64.PhysMap
 	// cpus are every host CPU executing out of this cache (one per vCPU):
 	// code invalidations are shootdowns, bumping each CPU's per-page
 	// superblock generation counters.
@@ -71,9 +71,9 @@ type codeCache struct {
 	Flushes uint64
 }
 
-func newCodeCache(phys vx64.PhysMem, cpus []*vx64.CPU, base, size uint64) *codeCache {
+func newCodeCache(mem *vx64.PhysMap, cpus []*vx64.CPU, base, size uint64) *codeCache {
 	return &codeCache{
-		phys: phys, cpus: cpus, base: base, size: size,
+		mem: mem, cpus: cpus, base: base, size: size,
 		blocks: make(map[cacheKey]*Block),
 		byPage: make(map[uint64][]*Block),
 	}

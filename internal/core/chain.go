@@ -36,13 +36,13 @@ const epilogueSize = maxChainSlots*chainSlotSize + 4
 const dispatchTrapVec = 1
 
 // writeEpilogue resets an epilogue to its unchained state.
-func writeEpilogue(phys vx64.PhysMem, pa uint64) {
+func writeEpilogue(mem *vx64.PhysMap, pa uint64) {
 	tr := vx64.Inst{Op: vx64.TRAP, Imm: dispatchTrapVec}
 	buf := vx64.Encode(nil, &tr)
 	for len(buf) < epilogueSize {
 		buf = append(buf, byte(vx64.NOP))
 	}
-	copy(phys[pa:], buf)
+	copy(mem.Bytes(pa, epilogueSize), buf)
 }
 
 // chainSlot is an installed PC-compare chain entry.
@@ -77,12 +77,12 @@ func (c *codeCache) chain(b *Block, exitIdx int, to *Block, pc uint64) bool {
 	if len(buf) != chainSlotSize {
 		panic("core: chain slot size drifted")
 	}
-	copy(c.phys[off:], buf)
+	copy(c.mem.Bytes(off, chainSlotSize), buf)
 	// Re-install the terminal TRAP after the new slot.
 	next := off + chainSlotSize
 	tr := vx64.Inst{Op: vx64.TRAP, Imm: dispatchTrapVec}
 	tb := vx64.Encode(nil, &tr)
-	copy(c.phys[next:], tb)
+	copy(c.mem.Bytes(next, uint64(len(tb))), tb)
 	c.invalidateCode(e.EpiPA, epilogueSize)
 
 	e.Slots = append(e.Slots, chainSlot{target: pc, blk: to})
@@ -96,7 +96,7 @@ func (c *codeCache) unchain(b *Block, exitIdx int) {
 	if len(e.Slots) == 0 {
 		return
 	}
-	writeEpilogue(c.phys, e.EpiPA)
+	writeEpilogue(c.mem, e.EpiPA)
 	c.invalidateCode(e.EpiPA, epilogueSize)
 	e.Slots = nil
 }

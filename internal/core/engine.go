@@ -202,7 +202,7 @@ func newEngine(vm *hvm.VM, g port.Port, module *gen.Module, id int, sh *shared) 
 	}
 	e.clearITLB()
 	poolBase, poolSize := l.PTPoolOf(id)
-	e.mmu = newHostMMU(vm.Phys, e.cpu, poolBase, poolSize)
+	e.mmu = newHostMMU(&vm.Mem, e.cpu, poolBase, poolSize)
 	e.cache = sh.cache
 
 	banks := g.Banks()
@@ -239,7 +239,7 @@ func newEngine(vm *hvm.VM, g port.Port, module *gen.Module, id int, sh *shared) 
 
 func (e *Engine) regfile() []byte {
 	pa := e.regFilePA
-	return e.vm.Phys[pa : pa+uint64(e.module.Layout.Size)]
+	return e.vm.Mem.Bytes(pa, uint64(e.module.Layout.Size))
 }
 
 // Reg returns guest register Xn.
@@ -283,7 +283,7 @@ func (e *Engine) Halted() (bool, uint64) { return e.halted, e.exitCode }
 // GuestInstrs returns the number of retired guest instructions (maintained
 // by the instrumentation prologue of every translated block).
 func (e *Engine) GuestInstrs() uint64 {
-	return e.vm.Phys.R64(e.statePA + hvm.StateICount)
+	return e.vm.Mem.R64(e.statePA + hvm.StateICount)
 }
 
 // VirtualTime returns the guest-visible virtual counter: retired guest
@@ -348,7 +348,7 @@ func (e *Engine) refreshIRQ() {
 	if e.sliceEnd < dl {
 		dl = e.sliceEnd
 	}
-	e.vm.Phys.W64(e.statePA+hvm.StateIRQDl, dl)
+	e.vm.Mem.W64(e.statePA+hvm.StateIRQDl, dl)
 }
 
 // Console returns the guest UART output.
@@ -710,12 +710,21 @@ func (e *Engine) handleHostFault(trap vx64.Trap) (bool, error) {
 	}
 	if gpa >= e.vm.Layout.GuestRAMSize {
 		e.cpu.Stats.Cycles += costFaultLookup
-		e.raise(port.Exception{Kind: port.ExcDataAbort, Translation: true, Write: write, Addr: gva, PC: guestPC})
+		e.raise(port.Exception{Kind: port.ExcDataAbort, Translation: true, Write: write, Addr: e.accessStartVA(trap, gva), PC: guestPC})
 		return true, nil
 	}
 	if !w.CheckAccess(write, e.sys.EL()) {
 		e.cpu.Stats.Cycles += costFaultLookup
 		e.raise(port.Exception{Kind: port.ExcDataAbort, Write: write, Addr: gva, PC: guestPC})
+		return true, nil
+	}
+	if trap.Kind == vx64.TrapBusError {
+		// The mapping is in place, but the access starts in RAM and runs
+		// past its end into unbacked host memory: the guest data abort
+		// the interpreter raises for an access past the end of RAM.
+		// Reinstalling the mapping would only retry the access forever.
+		e.cpu.Stats.Cycles += costFaultLookup
+		e.raise(port.Exception{Kind: port.ExcDataAbort, Translation: true, Write: write, Addr: gva, PC: guestPC})
 		return true, nil
 	}
 	gpaPage := gpa >> 12
@@ -740,6 +749,19 @@ func (e *Engine) handleHostFault(trap vx64.Trap) (bool, error) {
 	writable := w.Write && !e.mmu.isProtected(gpaPage)
 	e.mmu.install(e.curMode, va&^uint64(0xFFF), gpaPage<<12, writable, w.User)
 	return false, nil
+}
+
+// accessStartVA returns the guest VA of the first byte of the access that
+// raised trap, whose fault address unmasks to gva. The two differ only for
+// a page-crossing store, which VX64 faults on its last byte's page; an
+// abort for the whole access reports its first byte, as the interpreter's
+// does.
+func (e *Engine) accessStartVA(trap vx64.Trap, gva uint64) uint64 {
+	switch trap.Inst.Op {
+	case vx64.STORE16, vx64.STORE32, vx64.STORE64, vx64.FST:
+		return e.unmask(e.cpu.EA(trap.Inst.M) & hvm.LowHalfMask)
+	}
+	return gva
 }
 
 // emulateMMIO performs a trapped device access using the decoded faulting
@@ -809,11 +831,11 @@ func (e *Engine) emulateMMIO(trap vx64.Trap, gpa uint64) error {
 // --- helpers -------------------------------------------------------
 
 func (e *Engine) stateSlot(off int64) uint64 {
-	return e.vm.Phys.R64(e.statePA + uint64(off))
+	return e.vm.Mem.R64(e.statePA + uint64(off))
 }
 
 func (e *Engine) setRet(v uint64) {
-	e.vm.Phys.W64(e.statePA+hvm.StateRet, v)
+	e.vm.Mem.W64(e.statePA+hvm.StateRet, v)
 }
 
 func (e *Engine) registerHelpers() {
@@ -978,14 +1000,14 @@ func (e *Engine) LoadUser(data []byte, gpa uint64) error {
 
 // ReadRAM copies len(dst) bytes of guest physical memory starting at pa.
 // Guest RAM is identity-mapped at the bottom of host physical memory, so
-// this is a plain slice read. Differential harnesses use it to compare
-// memory images across engines.
+// this is a plain copy out of its backing. Differential harnesses use it to
+// compare memory images across engines.
 func (e *Engine) ReadRAM(pa uint64, dst []byte) error {
 	size := e.vm.Layout.GuestRAMSize
 	if pa > size || uint64(len(dst)) > size-pa {
 		return fmt.Errorf("core: ReadRAM [%#x, +%#x) exceeds guest RAM", pa, len(dst))
 	}
-	copy(dst, e.vm.Phys[pa:])
+	copy(dst, e.vm.Mem.Bytes(pa, uint64(len(dst))))
 	return nil
 }
 

@@ -22,7 +22,7 @@ const (
 
 // hostMMU manages the host page-table pool and the two roots.
 type hostMMU struct {
-	phys     vx64.PhysMem
+	mem      *vx64.PhysMap
 	cpu      *vx64.CPU
 	poolBase uint64
 	poolSize uint64
@@ -44,9 +44,9 @@ type hostMMU struct {
 	Installs uint64
 }
 
-func newHostMMU(phys vx64.PhysMem, cpu *vx64.CPU, poolBase, poolSize uint64) *hostMMU {
+func newHostMMU(mem *vx64.PhysMap, cpu *vx64.CPU, poolBase, poolSize uint64) *hostMMU {
 	m := &hostMMU{
-		phys: phys, cpu: cpu,
+		mem: mem, cpu: cpu,
 		poolBase: poolBase, poolSize: poolSize,
 		protected:  make(map[uint64]bool),
 		installedW: make(map[uint64]bool),
@@ -65,20 +65,20 @@ func (m *hostMMU) allocTable() uint64 {
 	}
 	pa := m.poolBase + m.poolNext
 	m.poolNext += vx64.PageSize
-	clearPage(m.phys, pa)
+	clearPage(m.mem, pa)
 	return pa
 }
 
-func clearPage(phys vx64.PhysMem, pa uint64) {
-	clear(phys[pa : pa+vx64.PageSize])
+func clearPage(mem *vx64.PhysMap, pa uint64) {
+	clear(mem.Bytes(pa, vx64.PageSize))
 }
 
 // reset drops every host mapping: both roots are cleared and the pool
 // rewinds past them; the hardware TLB is flushed.
 func (m *hostMMU) reset() {
 	m.poolNext = 2 * vx64.PageSize // keep the two root pages
-	clearPage(m.phys, m.lowRoot)
-	clearPage(m.phys, m.highRoot)
+	clearPage(m.mem, m.lowRoot)
+	clearPage(m.mem, m.highRoot)
 	clear(m.installedW)
 	m.cpu.FlushTLB()
 	m.Rebuilds++
@@ -110,16 +110,16 @@ func (m *hostMMU) install(mode uint64, hostVA, hpa uint64, writable, user bool) 
 	for level := 3; level >= 1; level-- {
 		idx := hostVA >> (vx64.PageShift + 9*uint(level)) & 0x1FF
 		pteAddr := table + idx*8
-		pte := m.phys.R64(pteAddr)
+		pte := m.mem.R64(pteAddr)
 		if pte&vx64.PTEPresent == 0 {
 			next := m.allocTable()
 			// allocTable may have reset the pool, which clears the
 			// roots; restart the walk in that case.
-			if m.phys.R64(pteAddr) != pte {
+			if m.mem.R64(pteAddr) != pte {
 				m.install(mode, hostVA, hpa, writable, user)
 				return
 			}
-			m.phys.W64(pteAddr, next|vx64.PTEPresent|vx64.PTEWrite|vx64.PTEUser)
+			m.mem.W64(pteAddr, next|vx64.PTEPresent|vx64.PTEWrite|vx64.PTEUser)
 			table = next
 		} else {
 			table = pte & vx64.PTEAddrMask
@@ -133,7 +133,7 @@ func (m *hostMMU) install(mode uint64, hostVA, hpa uint64, writable, user bool) 
 		flags |= vx64.PTEUser
 	}
 	idx := hostVA >> vx64.PageShift & 0x1FF
-	m.phys.W64(table+idx*8, hpa&vx64.PTEAddrMask|flags)
+	m.mem.W64(table+idx*8, hpa&vx64.PTEAddrMask|flags)
 	// Drop any cached translation of hostVA: a read-only entry filled by
 	// an earlier access (a load from a write-protected code page) would
 	// otherwise outlive a writable reinstall and re-fault the store
@@ -184,12 +184,5 @@ func (e *Engine) guestWalk(va uint64) port.WalkResult {
 	if e.sys.MMUOn() {
 		e.cpu.Stats.Cycles += 4 * vx64.CostGuestWalkStep
 	}
-	return e.sys.Walk(e.guestPhysRead64, va)
-}
-
-func (e *Engine) guestPhysRead64(gpa uint64) (uint64, bool) {
-	if gpa+8 > e.vm.Layout.GuestRAMSize {
-		return 0, false
-	}
-	return e.vm.Phys.R64(gpa), true
+	return e.sys.Walk(e.vm.GuestPhysRead64, va)
 }

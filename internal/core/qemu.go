@@ -79,8 +79,8 @@ func (e *Engine) softTLBEntryPA(i int) uint64 {
 func (e *Engine) flushSoftTLB() {
 	for i := 0; i < softTLBSize; i++ {
 		pa := e.softTLBEntryPA(i)
-		e.vm.Phys.W64(pa+softTLBTagR, ^uint64(0))
-		e.vm.Phys.W64(pa+softTLBTagW, ^uint64(0))
+		e.vm.Mem.W64(pa+softTLBTagR, ^uint64(0))
+		e.vm.Mem.W64(pa+softTLBTagW, ^uint64(0))
 	}
 }
 
@@ -248,38 +248,38 @@ func (e *Engine) qemuFill(c *vx64.CPU) vx64.HelperAction {
 	gpaPage := gpa &^ uint64(0xFFF)
 	idx := int(va >> 12 & (softTLBSize - 1))
 	pa := e.softTLBEntryPA(idx)
-	e.vm.Phys.W64(pa+softTLBTagR, vaPage)
+	e.vm.Mem.W64(pa+softTLBTagR, vaPage)
 	if w.Write && !e.cache.pageHasCode(gpa>>12) {
-		e.vm.Phys.W64(pa+softTLBTagW, vaPage)
+		e.vm.Mem.W64(pa+softTLBTagW, vaPage)
 	} else {
-		e.vm.Phys.W64(pa+softTLBTagW, ^uint64(0))
+		e.vm.Mem.W64(pa+softTLBTagW, ^uint64(0))
 	}
-	e.vm.Phys.W64(pa+softTLBAddend, hvm.DirectVA(gpaPage)-vaPage)
+	e.vm.Mem.W64(pa+softTLBAddend, hvm.DirectVA(gpaPage)-vaPage)
 
 	// Perform the access.
 	if write {
 		switch width {
 		case 1:
-			e.vm.Phys.W8(gpa, uint8(val))
+			e.vm.Mem.W8(gpa, uint8(val))
 		case 2:
-			e.vm.Phys.W16(gpa, uint16(val))
+			e.vm.Mem.W16(gpa, uint16(val))
 		case 4:
-			e.vm.Phys.W32(gpa, uint32(val))
+			e.vm.Mem.W32(gpa, uint32(val))
 		default:
-			e.vm.Phys.W64(gpa, val)
+			e.vm.Mem.W64(gpa, val)
 		}
 		return vx64.HelperContinue
 	}
 	var v uint64
 	switch width {
 	case 1:
-		v = uint64(e.vm.Phys.R8(gpa))
+		v = uint64(e.vm.Mem.R8(gpa))
 	case 2:
-		v = uint64(e.vm.Phys.R16(gpa))
+		v = uint64(e.vm.Mem.R16(gpa))
 	case 4:
-		v = uint64(e.vm.Phys.R32(gpa))
+		v = uint64(e.vm.Mem.R32(gpa))
 	default:
-		v = e.vm.Phys.R64(gpa)
+		v = e.vm.Mem.R64(gpa)
 	}
 	e.setRet(v)
 	return vx64.HelperContinue

@@ -249,7 +249,7 @@ func TestQemuFlushReusesCodeRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &flushSnapshot{code: vm.Phys[vm.Layout.CodePA:]}
+	sink := &flushSnapshot{code: vm.Mem.Bytes(vm.Layout.CodePA, vm.Layout.CodeSize)}
 	e.SetTrace(trace.NewRecorder(sink, trace.KindMask(trace.Translate, trace.TLBFlush, trace.ChainPatch)))
 	p := asm.New(0x1000)
 	p.MovI(0, 0)

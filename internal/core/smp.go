@@ -162,7 +162,7 @@ func newEngines(vm *hvm.VM, g port.Port, module *gen.Module) ([]*Engine, error) 
 	sh := &shared{}
 	sh.quiesce = sync.NewCond(&sh.mu)
 	l := vm.Layout
-	sh.cache = newCodeCache(vm.Phys, vm.CPUs, l.CodePA, l.CodeSize)
+	sh.cache = newCodeCache(&vm.Mem, vm.CPUs, l.CodePA, l.CodeSize)
 	sh.exits = make(map[uint64]exitRef)
 	for id := range vm.CPUs {
 		e, err := newEngine(vm, g, module, id, sh)

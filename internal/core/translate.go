@@ -18,7 +18,7 @@ func (e *Engine) fetchRead(pa uint64) (uint32, bool) {
 	if pa+port.InstrBytes > e.vm.Layout.GuestRAMSize {
 		return 0, false
 	}
-	return e.vm.Phys.R32(pa), true
+	return e.vm.Mem.R32(pa), true
 }
 
 // translateBlock runs the four-phase online pipeline of Fig. 8 for one
@@ -121,7 +121,7 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 			return nil, fmt.Errorf("core: block of %d bytes exceeds code cache", len(code))
 		}
 	}
-	copy(e.vm.Phys[pa:], code)
+	copy(e.vm.Mem.Bytes(pa, uint64(len(code))), code)
 	e.cache.invalidateCode(pa, uint64(len(code)))
 	e.JIT.EncodeT += time.Since(t3)
 
@@ -152,7 +152,7 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	if e.Kind == BackendQEMU {
 		idx := int(pc >> 12 & (softTLBSize - 1))
 		for _, eng := range sh.engines {
-			e.vm.Phys.W64(eng.softTLBEntryPA(idx)+softTLBTagW, ^uint64(0))
+			e.vm.Mem.W64(eng.softTLBEntryPA(idx)+softTLBTagW, ^uint64(0))
 		}
 	} else {
 		for _, eng := range sh.engines {

@@ -8,11 +8,22 @@
 // Physical memory layout (Fig. 15, concretized):
 //
 //	[0, GuestRAMSize)            emulated guest DRAM (GPA == HPA identity)
-//	[ga64.DeviceBase, +1 MiB)    guest MMIO window — never backed; accesses
-//	                             fault and are emulated by the hypervisor
-//	[CaptiveBase, ...)           the Captive area: engine state page, guest
-//	                             register file, stack, host page-table pool,
-//	                             code cache
+//	[GuestRAMSize, CaptiveBase)  the hole — never backed
+//	[ga64.DeviceBase, +1 MiB)    guest MMIO window at the top of the hole;
+//	                             guest accesses fault and are emulated by
+//	                             the hypervisor
+//	[CaptiveBase, TotalPhys)     the Captive area: per-vCPU engine state
+//	                             page, guest register file, stack and
+//	                             softmmu TLB, host page-table pool, code
+//	                             cache
+//
+// Like a KVM guest whose memory slots cover only what is populated, only
+// guest DRAM and the Captive area are backed: VM.Phys holds the two back to
+// back, so building a machine costs its RAM plus its Captive area, not the
+// 256 MiB below the device window. Physical addresses are unchanged — page
+// tables, direct-map addresses and TLB tags never see the backing — and the
+// one rule from address to backing offset is vx64.PhysMap.Off. A VX64
+// access into the hole raises the same #BUS as one past TotalPhys.
 //
 // The host virtual address space is split per §2.7.3: the low half holds
 // guest virtual addresses (mapped on demand from guest page tables); the
@@ -113,6 +124,10 @@ const (
 
 // VM is the host virtual machine.
 type VM struct {
+	// Mem is host physical memory, addressed by physical address. Phys is
+	// its backing (Mem.Back): guest DRAM followed by the Captive area,
+	// len(Phys) bytes in all; index it through Mem, never by address.
+	Mem    vx64.PhysMap
 	Phys   vx64.PhysMem
 	CPU    *vx64.CPU   // host CPU of vCPU 0 (uniprocessor shorthand)
 	CPUs   []*vx64.CPU // one host CPU per guest vCPU
@@ -158,17 +173,21 @@ func New(cfg Config) (*VM, error) {
 	l.CodeSize = uint64(cfg.CodeCacheBytes)
 	l.TotalPhys = l.CodePA + l.CodeSize
 
-	phys := make(vx64.PhysMem, l.TotalPhys)
+	mem := vx64.PhysMap{
+		Back:   make(vx64.PhysMem, l.GuestRAMSize+l.TotalPhys-l.CaptiveBase),
+		HoleLo: l.GuestRAMSize,
+		HoleHi: l.CaptiveBase,
+	}
 	cpus := make([]*vx64.CPU, n)
 	for i := range cpus {
-		cpu := vx64.NewCPU(phys)
+		cpu := vx64.NewCPU(mem)
 		cpu.DirectBase = DirectBase
 		cpu.EPTEnabled = true // SLAT: identity GPA->HPA mapping (DESIGN.md §7)
 		cpu.SetCodeRegion(l.CodePA, l.CodePA+l.CodeSize)
 		cpus[i] = cpu
 	}
 
-	vm := &VM{Phys: phys, CPU: cpus[0], CPUs: cpus, Bus: &device.Bus{}, Layout: l}
+	vm := &VM{Mem: mem, Phys: mem.Back, CPU: cpus[0], CPUs: cpus, Bus: &device.Bus{}, Layout: l}
 	vm.Bus.Cycles = func() uint64 { return cpus[0].Stats.Cycles / 10 }
 	return vm, nil
 }
@@ -183,7 +202,7 @@ func (vm *VM) GuestPhysRead64(gpa uint64) (uint64, bool) {
 	if gpa+8 > vm.Layout.GuestRAMSize {
 		return 0, false
 	}
-	return vm.Phys.R64(gpa), true
+	return vm.Mem.R64(gpa), true
 }
 
 // LoadGuestImage copies a guest kernel image into guest DRAM.
@@ -191,7 +210,7 @@ func (vm *VM) LoadGuestImage(data []byte, gpa uint64) error {
 	if gpa+uint64(len(data)) > vm.Layout.GuestRAMSize {
 		return fmt.Errorf("hvm: image of %d bytes at %#x exceeds guest RAM", len(data), gpa)
 	}
-	copy(vm.Phys[gpa:], data)
+	copy(vm.Mem.Bytes(gpa, uint64(len(data))), data)
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package vx64
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
@@ -148,33 +147,6 @@ type tlbEntry struct {
 	user   bool
 }
 
-// PhysMem is the simulated physical memory of the host virtual machine.
-type PhysMem []byte
-
-// R64 reads a 64-bit little-endian word at pa.
-func (p PhysMem) R64(pa uint64) uint64 { return binary.LittleEndian.Uint64(p[pa:]) }
-
-// R32 reads a 32-bit word.
-func (p PhysMem) R32(pa uint64) uint32 { return binary.LittleEndian.Uint32(p[pa:]) }
-
-// R16 reads a 16-bit word.
-func (p PhysMem) R16(pa uint64) uint16 { return binary.LittleEndian.Uint16(p[pa:]) }
-
-// R8 reads a byte.
-func (p PhysMem) R8(pa uint64) uint8 { return p[pa] }
-
-// W64 writes a 64-bit little-endian word at pa.
-func (p PhysMem) W64(pa uint64, v uint64) { binary.LittleEndian.PutUint64(p[pa:], v) }
-
-// W32 writes a 32-bit word.
-func (p PhysMem) W32(pa uint64, v uint32) { binary.LittleEndian.PutUint32(p[pa:], v) }
-
-// W16 writes a 16-bit word.
-func (p PhysMem) W16(pa uint64, v uint16) { binary.LittleEndian.PutUint16(p[pa:], v) }
-
-// W8 writes a byte.
-func (p PhysMem) W8(pa uint64, v uint8) { p[pa] = v }
-
 // Stats aggregates the architectural event counters the benchmarks report.
 type Stats struct {
 	Insts     uint64 // VX64 instructions retired
@@ -206,7 +178,10 @@ type CPU struct {
 	CR3 uint64
 	CPL uint8
 
-	Phys PhysMem
+	// Mem is the physical memory the CPU addresses. Every physical access
+	// — data, page walk, fetch — resolves its backing offset through
+	// Mem.Off and raises #BUS where it reports no backing.
+	Mem PhysMap
 
 	// DirectBase, when non-zero, enables the hypervisor direct map: virtual
 	// addresses at or above it translate to (va - DirectBase) without
@@ -242,8 +217,10 @@ type CPU struct {
 
 	// Code region [CodeLo, CodeHi) of physical memory, where the DBT
 	// engines place generated code. Direct-map fetches inside it execute as
-	// superblocks, which hold their own predecoded ops.
+	// superblocks, which hold their own predecoded ops. codeOff is the
+	// backing offset of CodeLo (the region is backed contiguously).
 	CodeLo, CodeHi uint64
+	codeOff        uint64
 
 	// One-entry fetch translation cache.
 	fetchVAPage uint64
@@ -268,7 +245,7 @@ type CPU struct {
 	// predecoded straight-line runs keyed by code-region offset, and a
 	// per-page generation counter bumped by InvalidateCode so stale
 	// superblocks are rebuilt on next entry.
-	sbTab     []sbSlot
+	sbTab     []*superblock
 	sbPageGen []uint32
 	// Reusable decode buffers for buildSuperblock, so cached runs hold
 	// exact-length slices.
@@ -276,9 +253,10 @@ type CPU struct {
 	sbScratchLens []uint8
 }
 
-// NewCPU creates a CPU over the given physical memory.
-func NewCPU(phys PhysMem) *CPU {
-	c := &CPU{Phys: phys, profLast: -1}
+// NewCPU creates a CPU over the given physical memory. A map over a plain
+// slice (PhysMap{Back: b}) has an empty hole: the CPU addresses b directly.
+func NewCPU(mem PhysMap) *CPU {
+	c := &CPU{Mem: mem, profLast: -1}
 	c.FlushTLB()
 	return c
 }
@@ -296,12 +274,17 @@ func (c *CPU) ProfPause() {
 }
 
 // SetCodeRegion declares [lo, hi) of physical memory as the generated-code
-// region and enables superblock execution over it. Its bookkeeping is one
-// generation counter per region page, so the CPU's own state does not grow
-// with the byte size of the region.
+// region and enables superblock execution over it. The region must be
+// backed contiguously. Its bookkeeping is one generation counter per region
+// page, so the CPU's own state does not grow with the byte size of the
+// region.
 func (c *CPU) SetCodeRegion(lo, hi uint64) {
-	c.CodeLo, c.CodeHi = lo, hi
-	c.sbTab = make([]sbSlot, sbTableSize)
+	off, ok := c.Mem.Off(lo, hi-lo)
+	if !ok {
+		panic(fmt.Sprintf("vx64: code region [%#x, %#x) is not backed", lo, hi))
+	}
+	c.CodeLo, c.CodeHi, c.codeOff = lo, hi, off
+	c.sbTab = make([]*superblock, sbTableSize)
 	c.sbPageGen = make([]uint32, (hi-lo+PageSize-1)/PageSize)
 }
 
@@ -373,16 +356,13 @@ type fault struct {
 	bus    bool
 }
 
-// translate resolves va for the given access kind at privilege cpl. It
-// consults the direct map, then the TLB, then performs a hardware page walk
-// and fills the TLB.
+// translate resolves va to a physical address for the given access kind at
+// privilege cpl. It consults the direct map, then the TLB, then performs a
+// hardware page walk and fills the TLB. The physical address may be
+// unbacked: every caller resolves it through Mem.Off, which raises the #BUS.
 func (c *CPU) translate(va uint64, access Access, cpl uint8) (uint64, *fault) {
 	if c.DirectBase != 0 && va >= c.DirectBase {
-		pa := va - c.DirectBase
-		if pa >= uint64(len(c.Phys)) {
-			return 0, &fault{addr: va, access: access, bus: true}
-		}
-		return pa, nil
+		return va - c.DirectBase, nil
 	}
 	vaPage := va >> PageShift
 	pcid := uint16(c.CR3 & pcidMask)
@@ -423,11 +403,11 @@ func (c *CPU) walk(va uint64) (paPage uint64, write, user, ok bool) {
 	table := root
 	for level := 3; level >= 0; level-- {
 		idx := (va >> (PageShift + 9*uint(level))) & 0x1FF
-		pteAddr := table + idx*8
-		if pteAddr+8 > uint64(len(c.Phys)) {
+		off, ok := c.Mem.Off(table+idx*8, 8)
+		if !ok {
 			return 0, false, false, false
 		}
-		pte := c.Phys.R64(pteAddr)
+		pte := c.Mem.Back.R64(off)
 		if pte&PTEPresent == 0 {
 			return 0, false, false, false
 		}
@@ -451,18 +431,19 @@ func (c *CPU) memRead(va uint64, size uint8) (uint64, *fault) {
 	if f != nil {
 		return 0, f
 	}
-	if pa+uint64(size) > uint64(len(c.Phys)) {
+	off, ok := c.Mem.Off(pa, uint64(size))
+	if !ok {
 		return 0, &fault{addr: va, access: AccessRead, bus: true}
 	}
 	switch size {
 	case 1:
-		return uint64(c.Phys.R8(pa)), nil
+		return uint64(c.Mem.Back.R8(off)), nil
 	case 2:
-		return uint64(c.Phys.R16(pa)), nil
+		return uint64(c.Mem.Back.R16(off)), nil
 	case 4:
-		return uint64(c.Phys.R32(pa)), nil
+		return uint64(c.Mem.Back.R32(off)), nil
 	default:
-		return c.Phys.R64(pa), nil
+		return c.Mem.Back.R64(off), nil
 	}
 }
 
@@ -483,24 +464,27 @@ func (c *CPU) memWrite(va uint64, size uint8, v uint64) *fault {
 			return f
 		}
 	}
-	if pa+uint64(size) > uint64(len(c.Phys)) {
+	off, ok := c.Mem.Off(pa, uint64(size))
+	if !ok {
 		return &fault{addr: va, access: AccessWrite, bus: true}
 	}
 	switch size {
 	case 1:
-		c.Phys.W8(pa, uint8(v))
+		c.Mem.Back.W8(off, uint8(v))
 	case 2:
-		c.Phys.W16(pa, uint16(v))
+		c.Mem.Back.W16(off, uint16(v))
 	case 4:
-		c.Phys.W32(pa, uint32(v))
+		c.Mem.Back.W32(off, uint32(v))
 	default:
-		c.Phys.W64(pa, v)
+		c.Mem.Back.W64(off, v)
 	}
 	return nil
 }
 
-// ea computes the effective address of a memory operand.
-func (c *CPU) ea(m Mem) uint64 {
+// EA computes the effective address of a memory operand from the current
+// registers; for a faulting access (Trap.Inst) it is the access's first
+// byte.
+func (c *CPU) EA(m Mem) uint64 {
 	a := c.R[m.Base] + uint64(int64(m.Disp))
 	if m.Index != NoReg {
 		a += c.R[m.Index] * uint64(m.Scale)
@@ -523,8 +507,16 @@ func (c *CPU) fetchInst() (Inst, int, *fault) {
 		c.fetchVAPage, c.fetchPAPage, c.fetchCPL, c.fetchOK = vaPage, pa>>PageShift, c.CPL, true
 	}
 	pa := c.fetchPAPage<<PageShift | va&PageMask
-	inst, n, err := Decode(c.Phys, int(pa))
-	if err != nil {
+	off, ok := c.Mem.Off(pa, 1)
+	if !ok {
+		return Inst{}, 0, &fault{addr: va, access: AccessExec, bus: true}
+	}
+	inst, n, err := Decode(c.Mem.Back, int(off))
+	if err == nil {
+		// The whole instruction must be backed, not just its first byte.
+		_, ok = c.Mem.Off(pa, uint64(n))
+	}
+	if err != nil || !ok {
 		return Inst{}, 0, &fault{addr: va, access: AccessExec, bus: true}
 	}
 	return inst, n, nil
@@ -634,7 +626,7 @@ func (c *CPU) execOp(inst *Inst, next uint64) bool {
 		R[inst.Rd] = uint64(inst.Imm)
 	case LOAD8, LOAD16, LOAD32, LOAD64, LOADS8, LOADS16, LOADS32:
 		size, sign := loadWidth(inst.Op)
-		v, f := c.memRead(c.ea(inst.M), size)
+		v, f := c.memRead(c.EA(inst.M), size)
 		if f != nil {
 			c.trap = c.pageFault(f, inst, next)
 			return false
@@ -645,12 +637,12 @@ func (c *CPU) execOp(inst *Inst, next uint64) bool {
 		R[inst.Rd] = v
 	case STORE8, STORE16, STORE32, STORE64:
 		size := storeWidth(inst.Op)
-		if f := c.memWrite(c.ea(inst.M), size, R[inst.Rs]); f != nil {
+		if f := c.memWrite(c.EA(inst.M), size, R[inst.Rs]); f != nil {
 			c.trap = c.pageFault(f, inst, next)
 			return false
 		}
 	case IRQCHK:
-		v, f := c.memRead(c.ea(inst.M), 8)
+		v, f := c.memRead(c.EA(inst.M), 8)
 		if f != nil {
 			c.trap = c.pageFault(f, inst, next)
 			return false
@@ -677,7 +669,7 @@ func (c *CPU) execOp(inst *Inst, next uint64) bool {
 			c.TraceBlock()
 		}
 	case LEA:
-		R[inst.Rd] = c.ea(inst.M)
+		R[inst.Rd] = c.EA(inst.M)
 	case ADDrr:
 		R[inst.Rd] = c.aluAdd(R[inst.Rd], R[inst.Rs])
 	case ADDri:
@@ -883,14 +875,14 @@ func (c *CPU) execOp(inst *Inst, next uint64) bool {
 		}
 		c.FlushTLB()
 	case FLD:
-		v, f := c.memRead(c.ea(inst.M), 8)
+		v, f := c.memRead(c.EA(inst.M), 8)
 		if f != nil {
 			c.trap = c.pageFault(f, inst, next)
 			return false
 		}
 		c.X[inst.Rd] = v
 	case FST:
-		if f := c.memWrite(c.ea(inst.M), 8, c.X[inst.Rs]); f != nil {
+		if f := c.memWrite(c.EA(inst.M), 8, c.X[inst.Rs]); f != nil {
 			c.trap = c.pageFault(f, inst, next)
 			return false
 		}

@@ -45,6 +45,7 @@ const (
 
 // superblock is one predecoded straight-line run.
 type superblock struct {
+	off  uint64  // code-region offset of its first instruction (cache key)
 	ops  []Inst  // predecoded instructions (only the last may end the run)
 	lens []uint8 // encoded length of each instruction
 
@@ -59,12 +60,6 @@ type superblock struct {
 	// touch; gen0/gen1 the generations captured at build time.
 	pg0, pg1   uint32
 	gen0, gen1 uint32
-}
-
-// sbSlot is one direct-mapped cache slot.
-type sbSlot struct {
-	off uint64
-	sb  *superblock
 }
 
 // sbHash maps a code-region offset to a cache slot (Fibonacci hashing;
@@ -116,7 +111,7 @@ func (c *CPU) buildSuperblock(off uint64) *superblock {
 	var worst uint64
 	pa := c.CodeLo + off
 	for len(ops) < sbMaxOps && pa < c.CodeHi {
-		inst, n, err := Decode(c.Phys, int(pa))
+		inst, n, err := Decode(c.Mem.Back, int(c.codeOff+pa-c.CodeLo))
 		if err != nil {
 			break
 		}
@@ -133,6 +128,7 @@ func (c *CPU) buildSuperblock(off uint64) *superblock {
 		return nil
 	}
 	sb := &superblock{
+		off:   off,
 		ops:   append([]Inst(nil), ops...),
 		lens:  append([]uint8(nil), lens...),
 		worst: worst,
@@ -152,8 +148,8 @@ func (c *CPU) buildSuperblock(off uint64) *superblock {
 // reports TrapBudget), exactly as the stepped loop would.
 func (c *CPU) runSuperblock(off uint64, limit uint64) (Trap, bool) {
 	slot := &c.sbTab[sbHash(off)]
-	sb := slot.sb
-	if sb == nil || slot.off != off ||
+	sb := *slot
+	if sb == nil || sb.off != off ||
 		sb.gen0 != c.sbPageGen[sb.pg0] || sb.gen1 != c.sbPageGen[sb.pg1] {
 		sb = c.buildSuperblock(off)
 		if sb == nil {
@@ -162,7 +158,7 @@ func (c *CPU) runSuperblock(off uint64, limit uint64) (Trap, bool) {
 			t := c.Step()
 			return t, t.Kind != TrapNone
 		}
-		slot.off, slot.sb = off, sb
+		*slot = sb
 	}
 	ops, lens := sb.ops, sb.lens
 	if c.Stats.Cycles+sb.worst < limit {

@@ -25,15 +25,15 @@ func runStepped(c *CPU, cycleBudget uint64) Trap {
 func sbTestProgram(c *CPU) uint64 {
 	// Data page for memory traffic.
 	db := uint64(directBase)
-	c.Phys.W64(0x8000, 7)
-	preEnd := asm(c.Phys, 0,
+	c.Mem.Back.W64(0x8000, 7)
+	preEnd := asm(c.Mem.Back, 0,
 		Inst{Op: MOVI32, Rd: 0, Imm: 200}, // loop counter
 		Inst{Op: XORrr, Rd: 1, Rs: 1},     // accumulator
 		Inst{Op: MOVI64, Rd: 2, Imm: int64(db + 0x8000)},
 	)
 	// Loop body at 0x20 (padded with NOPs up to it).
 	for i := preEnd; i < 0x20; i++ {
-		c.Phys[i] = byte(NOP)
+		c.Mem.Back[i] = byte(NOP)
 	}
 	body := []Inst{
 		{Op: LOAD64, Rd: 3, M: Mem{Base: R2, Index: NoReg, Scale: 1}},
@@ -59,13 +59,13 @@ func sbTestProgram(c *CPU) uint64 {
 	at := uint64(0x20)
 	var ends []uint64
 	for i := range body {
-		at = asm(c.Phys, at, body[i])
+		at = asm(c.Mem.Back, at, body[i])
 		ends = append(ends, at)
 	}
 	// Patch the backward branch (second-to-last op) to target 0x20.
 	jccEnd := ends[len(ends)-2]
 	jccStart := ends[len(ends)-3]
-	asm(c.Phys, jccStart, Inst{Op: JCC, Cond: CondNE, Imm: int64(0x20) - int64(jccEnd)})
+	asm(c.Mem.Back, jccStart, Inst{Op: JCC, Cond: CondNE, Imm: int64(0x20) - int64(jccEnd)})
 	// The forward JCC skips the 2-byte TRAP; its encoded Imm of 2 is
 	// already correct.
 	c.InvalidateCode(0, at)
@@ -131,7 +131,7 @@ func TestSuperblockStepEquivalence(t *testing.T) {
 		if a.Stats != b.Stats {
 			t.Fatalf("slice %d: stats diverged:\n run: %+v\nstep: %+v", slice, a.Stats, b.Stats)
 		}
-		if string(a.Phys) != string(b.Phys) {
+		if string(a.Mem.Back) != string(b.Mem.Back) {
 			t.Fatalf("slice %d: memory diverged", slice)
 		}
 	}
@@ -162,7 +162,7 @@ func TestSuperblockBudgetBoundary(t *testing.T) {
 // run so the next execution sees the new bytes.
 func TestSuperblockInvalidateMidBlock(t *testing.T) {
 	c := newTestCPU()
-	end := asm(c.Phys, 0,
+	end := asm(c.Mem.Back, 0,
 		Inst{Op: MOVI8, Rd: 0, Imm: 1},
 		Inst{Op: MOVI8, Rd: 1, Imm: 10}, // the patch target (byte offset 3)
 		Inst{Op: ADDrr, Rd: 0, Rs: 1},
@@ -174,7 +174,7 @@ func TestSuperblockInvalidateMidBlock(t *testing.T) {
 	}
 	// Patch only the second instruction's immediate and invalidate just
 	// that byte range — the superblock covering it must be rebuilt.
-	asm(c.Phys, 3, Inst{Op: MOVI8, Rd: 1, Imm: 20})
+	asm(c.Mem.Back, 3, Inst{Op: MOVI8, Rd: 1, Imm: 20})
 	c.InvalidateCode(3, 3)
 	run(t, c, directBase)
 	if c.R[0] != 21 {
@@ -191,13 +191,13 @@ func TestSuperblockInvalidateMidBlock(t *testing.T) {
 func TestSuperblockChainPatchShape(t *testing.T) {
 	c := newTestCPU()
 	// Block A: set r15 (the "guest PC"), fall into the epilogue TRAP.
-	epi := asm(c.Phys, 0,
+	epi := asm(c.Mem.Back, 0,
 		Inst{Op: MOVI64, Rd: 15, Imm: 0x4000},
 		Inst{Op: MOVI8, Rd: 5, Imm: 1},
 	)
-	asm(c.Phys, epi, Inst{Op: TRAP, Imm: 1})
+	asm(c.Mem.Back, epi, Inst{Op: TRAP, Imm: 1})
 	// Block B at 0x100: the chain target.
-	asm(c.Phys, 0x100,
+	asm(c.Mem.Back, 0x100,
 		Inst{Op: MOVI8, Rd: 6, Imm: 42},
 		Inst{Op: HLT},
 	)
@@ -219,7 +219,7 @@ func TestSuperblockChainPatchShape(t *testing.T) {
 	jmpEnd := db + epi + uint64(len(buf)) + 5
 	buf = Encode(buf, &Inst{Op: JMP, Imm: int64(db+0x100) - int64(jmpEnd)})
 	buf = Encode(buf, &Inst{Op: TRAP, Imm: 1})
-	copy(c.Phys[epi:], buf)
+	copy(c.Mem.Back[epi:], buf)
 	c.InvalidateCode(epi, uint64(len(buf)))
 
 	c.RIP = directBase
@@ -237,7 +237,7 @@ func TestSuperblockChainPatchShape(t *testing.T) {
 	for len(tr2) < len(buf) {
 		tr2 = append(tr2, byte(NOP))
 	}
-	copy(c.Phys[epi:], tr2)
+	copy(c.Mem.Back[epi:], tr2)
 	c.InvalidateCode(epi, uint64(len(tr2)))
 	c.R[6] = 0
 	c.RIP = directBase
@@ -258,9 +258,9 @@ func TestSuperblockPageSpanInvalidation(t *testing.T) {
 	start := uint64(PageSize - 8)
 	at := start
 	for i := 0; i < 4; i++ {
-		at = asm(c.Phys, at, Inst{Op: ADDri, Rd: 0, Imm: 1})
+		at = asm(c.Mem.Back, at, Inst{Op: ADDri, Rd: 0, Imm: 1})
 	}
-	at = asm(c.Phys, at, Inst{Op: HLT})
+	at = asm(c.Mem.Back, at, Inst{Op: HLT})
 	c.InvalidateCode(start, at-start)
 	run(t, c, directBase+start)
 	if c.R[0] != 4 {
@@ -268,7 +268,7 @@ func TestSuperblockPageSpanInvalidation(t *testing.T) {
 	}
 	// Patch an instruction in the second page only.
 	patchAt := uint64(PageSize + 4)
-	asm(c.Phys, patchAt, Inst{Op: ADDri, Rd: 0, Imm: 100})
+	asm(c.Mem.Back, patchAt, Inst{Op: ADDri, Rd: 0, Imm: 100})
 	c.InvalidateCode(patchAt, 6)
 	c.R[0] = 0
 	run(t, c, directBase+start)
@@ -281,12 +281,12 @@ func TestSuperblockPageSpanInvalidation(t *testing.T) {
 // superblock state.
 func TestSuperblockSetCodeRegionResets(t *testing.T) {
 	c := newTestCPU()
-	end := asm(c.Phys, 0, Inst{Op: MOVI8, Rd: 0, Imm: 5}, Inst{Op: HLT})
+	end := asm(c.Mem.Back, 0, Inst{Op: MOVI8, Rd: 0, Imm: 5}, Inst{Op: HLT})
 	run(t, c, directBase)
 	if c.R[0] != 5 {
 		t.Fatal("first run wrong")
 	}
-	asm(c.Phys, 0, Inst{Op: MOVI8, Rd: 0, Imm: 6}, Inst{Op: HLT})
+	asm(c.Mem.Back, 0, Inst{Op: MOVI8, Rd: 0, Imm: 6}, Inst{Op: HLT})
 	c.SetCodeRegion(0, 1<<20) // full reset instead of InvalidateCode
 	run(t, c, directBase)
 	if c.R[0] != 6 {
@@ -312,8 +312,8 @@ func TestSuperblockUndecodableEntry(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func() (*CPU, uint64) {
 				c := newTestCPU()
-				at := asm(c.Phys, 0x100, tc.lead...)
-				c.Phys[at] = bad
+				at := asm(c.Mem.Back, 0x100, tc.lead...)
+				c.Mem.Back[at] = bad
 				return c, at
 			}
 			sb, badAt := build()
@@ -329,7 +329,7 @@ func TestSuperblockUndecodableEntry(t *testing.T) {
 					got, sb.Stats, want, ref.Stats)
 			}
 
-			asm(sb.Phys, badAt, Inst{Op: HLT})
+			asm(sb.Mem.Back, badAt, Inst{Op: HLT})
 			sb.InvalidateCode(badAt, 1)
 			if tr := sb.Run(1_000_000); tr.Kind != TrapHlt {
 				t.Fatalf("after repair: trap = %v, want hlt", tr)

@@ -21,7 +21,7 @@ const directBase = 0xFFFF800000000000
 // newTestCPU builds a CPU with 1 MiB of physical memory, the direct map
 // enabled, and the code region covering all of it.
 func newTestCPU() *CPU {
-	c := NewCPU(make(PhysMem, 1<<20))
+	c := NewCPU(PhysMap{Back: make(PhysMem, 1<<20)})
 	c.DirectBase = directBase
 	c.SetCodeRegion(0, 1<<20)
 	c.R[RSP] = directBase + 1<<19 // stack in the middle
@@ -118,7 +118,7 @@ func TestQuickMemOperandRoundTrip(t *testing.T) {
 
 func TestALUAndFlags(t *testing.T) {
 	c := newTestCPU()
-	asm(c.Phys, 0,
+	asm(c.Mem.Back, 0,
 		Inst{Op: MOVI32, Rd: 0, Imm: 10},
 		Inst{Op: MOVI32, Rd: 1, Imm: 3},
 		Inst{Op: MOVrr, Rd: 2, Rs: 0},
@@ -150,7 +150,7 @@ func TestALUAndFlags(t *testing.T) {
 func TestFlagsAndConditions(t *testing.T) {
 	c := newTestCPU()
 	// cmp 5,7 => borrow set (unsigned below), signed less.
-	asm(c.Phys, 0,
+	asm(c.Mem.Back, 0,
 		Inst{Op: MOVI8, Rd: 0, Imm: 5},
 		Inst{Op: MOVI8, Rd: 1, Imm: 7},
 		Inst{Op: CMPrr, Rd: 0, Rs: 1},
@@ -170,7 +170,7 @@ func TestFlagsAndConditions(t *testing.T) {
 	}
 	// Signed overflow: MaxInt64 + 1.
 	c2 := newTestCPU()
-	asm(c2.Phys, 0,
+	asm(c2.Mem.Back, 0,
 		Inst{Op: MOVI64, Rd: 0, Imm: math.MaxInt64},
 		Inst{Op: ADDri, Rd: 0, Imm: 1},
 		Inst{Op: SETcc, Cond: CondO, Rd: 1},
@@ -193,13 +193,13 @@ func TestBranchesAndLoops(t *testing.T) {
 		Inst{Op: HLT},
 	}
 	pre := []Inst{{Op: MOVI32, Rd: 0, Imm: 100}, {Op: XORrr, Rd: 1, Rs: 1}}
-	end := asm(c.Phys, 0, pre...)
+	end := asm(c.Mem.Back, 0, pre...)
 	bodyStart := end
 	// Encode body, patch the backward branch displacement.
 	var sizes []uint64
 	at := bodyStart
 	for i := range loopBody {
-		n := asm(c.Phys, at, loopBody[i])
+		n := asm(c.Mem.Back, at, loopBody[i])
 		sizes = append(sizes, n-at)
 		at = n
 	}
@@ -207,7 +207,7 @@ func TestBranchesAndLoops(t *testing.T) {
 	jccEnd := bodyStart + sizes[0] + sizes[1] + sizes[2] + sizes[3]
 	rel := int32(int64(bodyStart) - int64(jccEnd))
 	patched := Inst{Op: JCC, Cond: CondNE, Imm: int64(rel)}
-	asm(c.Phys, jccEnd-sizes[3], patched)
+	asm(c.Mem.Back, jccEnd-sizes[3], patched)
 	c.InvalidateCode(0, 1<<12)
 
 	run(t, c, directBase)
@@ -221,11 +221,11 @@ func TestCallRet(t *testing.T) {
 	// main: call f; hlt.  f: r0 = 99; ret
 	// Compute layout: call(5 bytes) hlt(1) then f.
 	fOff := int64(6)
-	asm(c.Phys, 0,
+	asm(c.Mem.Back, 0,
 		Inst{Op: CALL, Imm: fOff - 5}, // rel from end of call
 		Inst{Op: HLT},
 	)
-	asm(c.Phys, 6,
+	asm(c.Mem.Back, 6,
 		Inst{Op: MOVI8, Rd: 0, Imm: 99},
 		Inst{Op: RET},
 	)
@@ -251,7 +251,7 @@ func TestHelperCall(t *testing.T) {
 		c.R[0] = 0xDEAD
 		return HelperExit
 	}
-	asm(c.Phys, 0,
+	asm(c.Mem.Back, 0,
 		Inst{Op: MOVI8, Rd: 1, Imm: 21},
 		Inst{Op: HELPER, Imm: 3},
 		Inst{Op: HELPER, Imm: 4},
@@ -268,7 +268,7 @@ func TestHelperCall(t *testing.T) {
 
 func TestDivideTrap(t *testing.T) {
 	c := newTestCPU()
-	asm(c.Phys, 0,
+	asm(c.Mem.Back, 0,
 		Inst{Op: MOVI8, Rd: 0, Imm: 1},
 		Inst{Op: XORrr, Rd: 1, Rs: 1},
 		Inst{Op: UDIVrr, Rd: 0, Rs: 1},
@@ -279,7 +279,7 @@ func TestDivideTrap(t *testing.T) {
 	}
 	// SDIV MinInt64 / -1 also traps (x86 semantics).
 	c2 := newTestCPU()
-	asm(c2.Phys, 0,
+	asm(c2.Mem.Back, 0,
 		Inst{Op: MOVI64, Rd: 0, Imm: math.MinInt64},
 		Inst{Op: MOVI8, Rd: 1, Imm: -1},
 		Inst{Op: SDIVrr, Rd: 0, Rs: 1},
@@ -295,9 +295,9 @@ func TestFloatingPoint(t *testing.T) {
 	f := math.Float64bits
 	db := uint64(directBase)
 	dataVA := int64(db + 0x1000)
-	c.Phys.W64(0x1000, f(1.5))
-	c.Phys.W64(0x1008, f(2.5))
-	asm(c.Phys, 0,
+	c.Mem.Back.W64(0x1000, f(1.5))
+	c.Mem.Back.W64(0x1008, f(2.5))
+	asm(c.Mem.Back, 0,
 		Inst{Op: MOVI64, Rd: 0, Imm: dataVA},
 		Inst{Op: FLD, Rd: 0, M: Mem{Base: R0, Index: NoReg, Scale: 1}},
 		Inst{Op: FLD, Rd: 1, M: Mem{Base: R0, Disp: 8, Index: NoReg, Scale: 1}},
@@ -309,7 +309,7 @@ func TestFloatingPoint(t *testing.T) {
 		Inst{Op: HLT},
 	)
 	run(t, c, directBase)
-	if got := c.Phys.R64(0x1010); got != f(3.75) {
+	if got := c.Mem.Back.R64(0x1010); got != f(3.75) {
 		t.Errorf("fmul result = %#x, want 3.75", got)
 	}
 	if c.X[3] != f(math.Sqrt(3.75)) {
@@ -320,7 +320,7 @@ func TestFloatingPoint(t *testing.T) {
 	}
 	// x86 semantics: sqrt of negative is the indefinite (negative) NaN.
 	c.X[6] = f(-4)
-	asm(c.Phys, 0x2000, Inst{Op: FSQRT, Rd: 7, Rs: 6}, Inst{Op: HLT})
+	asm(c.Mem.Back, 0x2000, Inst{Op: FSQRT, Rd: 7, Rs: 6}, Inst{Op: HLT})
 	run(t, c, directBase+0x2000)
 	if c.X[7] != 0xFFF8000000000000 {
 		t.Errorf("sqrtsd(-4) = %#016x, want x86 indefinite NaN", c.X[7])
@@ -349,7 +349,7 @@ func buildPageTables(phys PhysMem, root uint64, alloc *uint64, va, pa uint64, fl
 }
 
 func TestPagingAndTLB(t *testing.T) {
-	c := NewCPU(make(PhysMem, 1<<21))
+	c := NewCPU(PhysMap{Back: make(PhysMem, 1<<21)})
 	c.DirectBase = directBase
 	c.SetCodeRegion(0, 1<<16)
 	c.R[RSP] = directBase + 0x8000
@@ -357,12 +357,12 @@ func TestPagingAndTLB(t *testing.T) {
 	root := uint64(0x100000)
 	alloc := root + PageSize
 	// Map VA 0x400000 -> PA 0x10000 (rw, user), VA 0x401000 -> PA 0x11000 (ro).
-	buildPageTables(c.Phys, root, &alloc, 0x400000, 0x10000, PTEPresent|PTEWrite|PTEUser)
-	buildPageTables(c.Phys, root, &alloc, 0x401000, 0x11000, PTEPresent|PTEUser)
+	buildPageTables(c.Mem.Back, root, &alloc, 0x400000, 0x10000, PTEPresent|PTEWrite|PTEUser)
+	buildPageTables(c.Mem.Back, root, &alloc, 0x401000, 0x11000, PTEPresent|PTEUser)
 	c.CR3 = root
-	c.Phys.W64(0x10008, 0x1234)
+	c.Mem.Back.W64(0x10008, 0x1234)
 
-	asm(c.Phys, 0,
+	asm(c.Mem.Back, 0,
 		Inst{Op: MOVI32, Rd: 0, Imm: 0x400000},
 		Inst{Op: LOAD64, Rd: 1, M: Mem{Base: R0, Disp: 8, Index: NoReg, Scale: 1}},
 		Inst{Op: STORE64, M: Mem{Base: R0, Disp: 16, Index: NoReg, Scale: 1}, Rs: 1},
@@ -376,7 +376,7 @@ func TestPagingAndTLB(t *testing.T) {
 	if c.R[1] != 0x1234 || c.R[2] != 0x1234 {
 		t.Errorf("paged load/store: r1=%#x r2=%#x", c.R[1], c.R[2])
 	}
-	if c.Phys.R64(0x10010) != 0x1234 {
+	if c.Mem.Back.R64(0x10010) != 0x1234 {
 		t.Error("store did not reach mapped physical page")
 	}
 	if c.Stats.TLBMisses == 0 || c.Stats.TLBHits == 0 {
@@ -384,7 +384,7 @@ func TestPagingAndTLB(t *testing.T) {
 	}
 
 	// Write to the read-only page faults with the right address.
-	asm(c.Phys, 0x4000,
+	asm(c.Mem.Back, 0x4000,
 		Inst{Op: MOVI32, Rd: 0, Imm: 0x401000},
 		Inst{Op: STORE64, M: Mem{Base: R0, Index: NoReg, Scale: 1}, Rs: 0},
 		Inst{Op: HLT},
@@ -395,7 +395,7 @@ func TestPagingAndTLB(t *testing.T) {
 		t.Fatalf("expected write #PF at 0x401000, got %v", tr)
 	}
 	// Unmapped address faults.
-	asm(c.Phys, 0x5000,
+	asm(c.Mem.Back, 0x5000,
 		Inst{Op: MOVI64, Rd: 0, Imm: 0x700000},
 		Inst{Op: LOAD64, Rd: 1, M: Mem{Base: R0, Index: NoReg, Scale: 1}},
 		Inst{Op: HLT},
@@ -408,13 +408,13 @@ func TestPagingAndTLB(t *testing.T) {
 }
 
 func TestRingProtection(t *testing.T) {
-	c := NewCPU(make(PhysMem, 1<<21))
+	c := NewCPU(PhysMap{Back: make(PhysMem, 1<<21)})
 	c.DirectBase = directBase
 	c.SetCodeRegion(0, 1<<16)
 	root := uint64(0x100000)
 	alloc := root + PageSize
 	// Supervisor-only page.
-	buildPageTables(c.Phys, root, &alloc, 0x400000, 0x10000, PTEPresent|PTEWrite)
+	buildPageTables(c.Mem.Back, root, &alloc, 0x400000, 0x10000, PTEPresent|PTEWrite)
 	c.CR3 = root
 
 	prog := []Inst{
@@ -422,7 +422,7 @@ func TestRingProtection(t *testing.T) {
 		{Op: LOAD64, Rd: 1, M: Mem{Base: R0, Index: NoReg, Scale: 1}},
 		{Op: HLT},
 	}
-	asm(c.Phys, 0, prog...)
+	asm(c.Mem.Back, 0, prog...)
 
 	// Ring 0 may read it.
 	c.CPL = 0
@@ -438,7 +438,7 @@ func TestRingProtection(t *testing.T) {
 		t.Fatalf("ring3 access should #PF, got %v", tr)
 	}
 	// Privileged instructions fault in ring 3.
-	asm(c.Phys, 0x4000, Inst{Op: TLBFLUSHALL}, Inst{Op: HLT})
+	asm(c.Mem.Back, 0x4000, Inst{Op: TLBFLUSHALL}, Inst{Op: HLT})
 	c.RIP = directBase + 0x4000
 	if tr := c.Run(1_000_000); tr.Kind != TrapGP {
 		t.Fatalf("ring3 tlbflush should #GP, got %v", tr)
@@ -446,24 +446,24 @@ func TestRingProtection(t *testing.T) {
 }
 
 func TestPCIDSwitchKeepsTLB(t *testing.T) {
-	c := NewCPU(make(PhysMem, 1<<22))
+	c := NewCPU(PhysMap{Back: make(PhysMem, 1<<22)})
 	c.DirectBase = directBase
 	c.SetCodeRegion(0, 1<<16)
 
 	rootA := uint64(0x100000)
 	allocA := rootA + PageSize
-	buildPageTables(c.Phys, rootA, &allocA, 0x400000, 0x10000, PTEPresent|PTEWrite|PTEUser)
+	buildPageTables(c.Mem.Back, rootA, &allocA, 0x400000, 0x10000, PTEPresent|PTEWrite|PTEUser)
 	rootB := uint64(0x200000)
 	allocB := rootB + PageSize
-	buildPageTables(c.Phys, rootB, &allocB, 0x400000, 0x11000, PTEPresent|PTEWrite|PTEUser)
+	buildPageTables(c.Mem.Back, rootB, &allocB, 0x400000, 0x11000, PTEPresent|PTEWrite|PTEUser)
 
 	c.CR3 = rootA | 1 // PCID 1
-	c.Phys.W64(0x10000, 0xAAAA)
-	c.Phys.W64(0x11000, 0xBBBB)
+	c.Mem.Back.W64(0x10000, 0xAAAA)
+	c.Mem.Back.W64(0x11000, 0xBBBB)
 
 	// Load via PCID 1, switch to PCID 2 (no flush), load (miss+fill),
 	// switch back to PCID 1 with no-flush: should hit the warm entry.
-	asm(c.Phys, 0,
+	asm(c.Mem.Back, 0,
 		Inst{Op: MOVI32, Rd: 0, Imm: 0x400000},
 		Inst{Op: LOAD64, Rd: 1, M: Mem{Base: R0, Index: NoReg, Scale: 1}},
 		Inst{Op: MOVI64, Rd: 2, Imm: int64(rootB | 2 | CR3NoFlush)},
@@ -489,7 +489,7 @@ func TestPCIDSwitchKeepsTLB(t *testing.T) {
 
 func TestTrapAndSyscall(t *testing.T) {
 	c := newTestCPU()
-	asm(c.Phys, 0,
+	asm(c.Mem.Back, 0,
 		Inst{Op: MOVI8, Rd: 0, Imm: 7},
 		Inst{Op: TRAP, Imm: 42},
 		Inst{Op: SYSCALL},
@@ -512,7 +512,7 @@ func TestTrapAndSyscall(t *testing.T) {
 
 func TestSelfModifyingCodeInvalidation(t *testing.T) {
 	c := newTestCPU()
-	end := asm(c.Phys, 0,
+	end := asm(c.Mem.Back, 0,
 		Inst{Op: MOVI8, Rd: 0, Imm: 1},
 		Inst{Op: HLT},
 	)
@@ -521,7 +521,7 @@ func TestSelfModifyingCodeInvalidation(t *testing.T) {
 		t.Fatal("first run wrong")
 	}
 	// Overwrite with a different immediate and invalidate.
-	asm(c.Phys, 0,
+	asm(c.Mem.Back, 0,
 		Inst{Op: MOVI8, Rd: 0, Imm: 2},
 		Inst{Op: HLT},
 	)
@@ -534,7 +534,7 @@ func TestSelfModifyingCodeInvalidation(t *testing.T) {
 
 func TestCycleAccounting(t *testing.T) {
 	c := newTestCPU()
-	asm(c.Phys, 0,
+	asm(c.Mem.Back, 0,
 		Inst{Op: MOVI8, Rd: 0, Imm: 1},
 		Inst{Op: ADDri, Rd: 0, Imm: 1},
 		Inst{Op: HLT},
