@@ -237,7 +237,7 @@ func BenchmarkTranslationThroughput(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(res.JIT.Blocks), "blocks")
+		b.ReportMetric(float64(res.Metrics.JITBlocks), "blocks")
 	}
 }
 

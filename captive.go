@@ -26,7 +26,6 @@
 package captive
 
 import (
-	"fmt"
 	"time"
 
 	"captive/internal/bench"
@@ -34,7 +33,7 @@ import (
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/ga64/asm"
 	"captive/internal/hvm"
-	"captive/internal/interp"
+	"captive/internal/machine"
 	"captive/internal/perf"
 	"captive/internal/ssa"
 )
@@ -82,10 +81,11 @@ type Stats struct {
 
 // Guest is a full-system GA64 virtual machine.
 type Guest struct {
-	cfg    Config
-	engine *core.Engine    // nil for the interpreter
-	interp *interp.Machine // nil for the DBT engines
+	m *machine.Machine
 }
+
+// engineNames maps the public engine kinds to machine.Spec engine names.
+var engineNames = map[EngineKind]string{EngineCaptive: "captive", EngineQEMU: "qemu", EngineInterp: "interp"}
 
 // New creates a guest machine.
 func New(cfg Config) (*Guest, error) {
@@ -95,82 +95,33 @@ func New(cfg Config) (*Guest, error) {
 	if cfg.CodeCacheBytes == 0 {
 		cfg.CodeCacheBytes = 16 << 20
 	}
-	level := ssa.O4
-	if cfg.OptLevel >= 1 && cfg.OptLevel <= 4 {
-		level = ssa.OptLevel(cfg.OptLevel)
-	}
-	module, err := ga64.NewModule(level)
-	if err != nil {
-		return nil, err
-	}
-	g := &Guest{cfg: cfg}
-	if cfg.Engine == EngineInterp {
-		g.interp = interp.New(ga64.Port{}, module, cfg.GuestRAMBytes)
-		return g, nil
-	}
-	vm, err := hvm.New(hvm.Config{
-		GuestRAMBytes:  cfg.GuestRAMBytes,
-		CodeCacheBytes: cfg.CodeCacheBytes,
-		PTPoolBytes:    4 << 20,
+	m, err := machine.New(machine.Spec{
+		Config: hvm.Config{GuestRAMBytes: cfg.GuestRAMBytes, CodeCacheBytes: cfg.CodeCacheBytes, PTPoolBytes: 4 << 20},
+		Port:   ga64.Port{}, Engine: engineNames[cfg.Engine], Level: ssa.OptLevel(cfg.OptLevel),
+		SoftFP: cfg.SoftFloat, NoChain: cfg.DisableChain,
 	})
 	if err != nil {
 		return nil, err
 	}
-	var e *core.Engine
-	if cfg.Engine == EngineQEMU {
-		e, err = core.NewQEMU(vm, ga64.Port{}, module)
-	} else {
-		e, err = core.New(vm, ga64.Port{}, module)
-		e.SoftFP = cfg.SoftFloat
-	}
-	if err != nil {
-		return nil, err
-	}
-	e.ChainingOff = cfg.DisableChain
-	g.engine = e
-	return g, nil
+	return &Guest{m: m}, nil
 }
 
 // LoadImage copies a guest image to guest physical memory and sets the PC.
-func (g *Guest) LoadImage(data []byte, gpa, entry uint64) error {
-	if g.interp != nil {
-		return g.interp.LoadImage(data, gpa, entry)
-	}
-	return g.engine.LoadImage(data, gpa, entry)
-}
+func (g *Guest) LoadImage(data []byte, gpa, entry uint64) error { return g.m.Load(data, gpa, entry) }
 
 // LoadData copies raw bytes into guest physical memory.
-func (g *Guest) LoadData(data []byte, gpa uint64) error {
-	if g.interp != nil {
-		if gpa+uint64(len(data)) > uint64(len(g.interp.Mem)) {
-			return fmt.Errorf("captive: data exceeds guest RAM")
-		}
-		copy(g.interp.Mem[gpa:], data)
-		return nil
-	}
-	return g.engine.LoadUser(data, gpa)
-}
+func (g *Guest) LoadData(data []byte, gpa uint64) error { return g.m.LoadData(data, gpa) }
 
 // Run executes the guest until it halts or the budget expires. budget is in
 // simulated host cycles; 0 means a generous default (~100 simulated
 // seconds). For the interpreter the budget is an instruction count.
 func (g *Guest) Run(budget uint64) (Status, error) {
-	if g.interp != nil {
-		if budget == 0 {
-			budget = 4_000_000_000
-		}
-		if _, err := g.interp.Run(budget); err != nil {
-			return Status{}, err
-		}
-		return Status{Halted: g.interp.Halted, ExitCode: g.interp.ExitCode}, nil
-	}
+	steps, deciCycles := budget, budget*perf.DeciCyclesPerCycle
 	if budget == 0 {
-		budget = 3_500_000_000_0 * 100 // deci-cycles for ~100 simulated s
-	} else {
-		budget *= perf.DeciCyclesPerCycle
+		steps, deciCycles = 4_000_000_000, 3_500_000_000_0*100 // ~100 simulated s
 	}
-	err := g.engine.Run(budget)
-	halted, code := g.engine.Halted()
+	err := g.m.Run(steps, deciCycles)
+	halted, code := g.m.Hart(0).Halted()
 	st := Status{Halted: halted, ExitCode: code}
 	if err != nil && err != core.ErrBudget {
 		return st, err
@@ -179,64 +130,34 @@ func (g *Guest) Run(budget uint64) (Status, error) {
 }
 
 // Reg reads guest register Xn (0..31; 31 is SP).
-func (g *Guest) Reg(n int) uint64 {
-	if g.interp != nil {
-		return g.interp.Reg(n)
-	}
-	return g.engine.Reg(n)
-}
+func (g *Guest) Reg(n int) uint64 { return g.m.Hart(0).Reg(n) }
 
 // SetReg writes guest register Xn.
-func (g *Guest) SetReg(n int, v uint64) {
-	if g.interp != nil {
-		g.interp.SetReg(n, v)
-		return
-	}
-	g.engine.SetReg(n, v)
-}
+func (g *Guest) SetReg(n int, v uint64) { g.m.Hart(0).SetReg(n, v) }
 
 // FReg reads the low 64 bits of vector register Vn.
-func (g *Guest) FReg(n int) uint64 {
-	if g.interp != nil {
-		return g.interp.FReg(n)
-	}
-	return g.engine.FReg(n)
-}
+func (g *Guest) FReg(n int) uint64 { return g.m.Hart(0).FReg(n) }
 
 // PC returns the guest program counter.
-func (g *Guest) PC() uint64 {
-	if g.interp != nil {
-		return g.interp.PC()
-	}
-	return g.engine.PC()
-}
+func (g *Guest) PC() uint64 { return g.m.Hart(0).PC() }
 
 // Console returns everything the guest wrote to its UART.
-func (g *Guest) Console() string {
-	if g.interp != nil {
-		return g.interp.Console()
-	}
-	return g.engine.Console()
-}
+func (g *Guest) Console() string { return g.m.Console() }
 
-// Stats returns run statistics.
+// Stats returns run statistics. The interpreter has no host-cycle model or
+// JIT, so only its instruction count is set.
 func (g *Guest) Stats() Stats {
-	if g.interp != nil {
-		return Stats{GuestInstructions: g.interp.Instrs}
-	}
-	cycles := float64(g.engine.Cycles()) / perf.DeciCyclesPerCycle
-	secs := perf.Seconds(g.engine.Cycles())
+	ms := g.m.Hart(0).Metrics()
 	st := Stats{
-		GuestInstructions: g.engine.GuestInstrs(),
-		HostCycles:        cycles,
-		SimSeconds:        secs,
-		BlocksTranslated:  g.engine.JIT.Blocks,
-		CodeBytes:         g.engine.JIT.CodeBytes,
-		JITTime: g.engine.JIT.DecodeTime + g.engine.JIT.TranslateT +
-			g.engine.JIT.RegallocT + g.engine.JIT.EncodeT,
+		GuestInstructions: ms.GuestInstrs,
+		HostCycles:        float64(ms.SimDeciCycles) / perf.DeciCyclesPerCycle,
+		SimSeconds:        perf.Seconds(ms.SimDeciCycles),
+		BlocksTranslated:  ms.JITBlocks,
+		CodeBytes:         ms.JITCodeBytes,
+		JITTime:           time.Duration(ms.DecodeNS + ms.TranslateNS + ms.RegallocNS + ms.EncodeNS),
 	}
-	if secs > 0 {
-		st.MIPS = float64(st.GuestInstructions) / secs / 1e6
+	if st.SimSeconds > 0 {
+		st.MIPS = float64(st.GuestInstructions) / st.SimSeconds / 1e6
 	}
 	return st
 }

@@ -33,7 +33,7 @@ import (
 	"captive/internal/guest/rv64"
 	rvasm "captive/internal/guest/rv64/asm"
 	"captive/internal/hvm"
-	"captive/internal/interp"
+	"captive/internal/machine"
 	"captive/internal/perf"
 	"captive/internal/ssa"
 	"captive/internal/trace"
@@ -91,16 +91,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "captive: unknown guest %q\n", *guest)
 		os.Exit(1)
 	}
-	switch *engine {
-	case "captive", "qemu", "interp":
-	default:
-		fmt.Fprintf(os.Stderr, "captive: unknown engine %q\n", *engine)
-		os.Exit(1)
-	}
-	level := ssa.O4
-	if *opt >= 1 && *opt <= 4 {
-		level = ssa.OptLevel(*opt)
-	}
 
 	var image []byte
 	var err error
@@ -119,238 +109,83 @@ func main() {
 	}
 
 	obs := observeOpts{tracePath: *tracePath, profile: *profile, metrics: *metricsOut}
-	var runErr error
-	if *smp > 1 {
-		runErr = runSMP(gp, level, *engine, image, *load, *entry, *ram<<20, *smp, obs)
-	} else {
-		runErr = run(gp, level, *engine, image, *load, *entry, *ram<<20, obs)
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "captive:", runErr)
+	if err := run(gp, ssa.OptLevel(*opt), *engine, image, *load, *entry, *ram<<20, *smp, obs); err != nil {
+		fmt.Fprintln(os.Stderr, "captive:", err)
 		os.Exit(1)
 	}
 }
 
-// runSMP executes the image on n vCPUs sharing one guest RAM and device
-// bus. Every hart enters the image at the same entry point and dispatches
-// on its hart ID (mhartid / MPIDR). The Captive engine runs the harts truly
-// parallel (one goroutine each, stop-the-world for shared translation
-// state); the QEMU baseline and the interpreter cluster run under the
-// deterministic round-robin scheduler. The trace recorder, profile and
-// metrics flags observe vCPU 0.
-func runSMP(gp port.Port, level ssa.OptLevel, engine string, image []byte, load, entry uint64, ramBytes, n int, obs observeOpts) error {
-	module, err := gp.Module(level)
-	if err != nil {
-		return err
-	}
+// run executes the image on n vCPUs of the selected engine (machine.New
+// rejects an unknown engine or an out-of-range size) and prints the
+// report. Every vCPU enters the image at the same entry point and
+// dispatches on its hart ID (mhartid / MPIDR). With several vCPUs the
+// Captive engine runs them truly parallel (one goroutine each,
+// stop-the-world for shared translation state); the QEMU baseline and the
+// interpreter cluster run under the deterministic round-robin scheduler.
+// The trace recorder, profile and metrics flags observe vCPU 0.
+func run(gp port.Port, level ssa.OptLevel, engine string, image []byte, load, entry uint64, ramBytes, n int, obs observeOpts) error {
 	rec, traceFile, err := obs.openTrace()
 	if err != nil {
 		return err
 	}
-	closeTrace := func() error {
-		if rec == nil {
-			return nil
-		}
-		err := rec.Close()
-		if cerr := traceFile.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}
-	const quantum = 512
-
-	if engine == "interp" {
-		cl := interp.NewCluster(gp, module, ramBytes, n)
-		cl.Machines[0].SetTrace(rec)
-		if err := cl.Machines[0].LoadImage(image, load, entry); err != nil {
-			return err
-		}
-		for _, m := range cl.Machines[1:] {
-			m.SetPC(entry)
-		}
-		if err := cl.RunDet(uint64(n)*4_000_000_000, quantum); err != nil {
-			return err
-		}
-		if err := closeTrace(); err != nil {
-			return err
-		}
-		if out := cl.Console(); out != "" {
-			fmt.Print(out)
-		}
-		fmt.Printf("\n--- %s/interp x%d halted=%v ---\n", module.Arch, n, cl.Halted())
-		for i, m := range cl.Machines {
-			fmt.Printf("hart %d: %12d guest instructions (exit=%d)\n", i, m.Instrs, m.ExitCode)
-		}
-		if obs.metrics {
-			return printMetricsJSON(cl.Machines[0].Metrics())
-		}
-		return nil
-	}
-
-	vm, err := hvm.New(hvm.Config{
-		GuestRAMBytes:  ramBytes,
-		CodeCacheBytes: 16 << 20,
-		PTPoolBytes:    4 << 20,
-		VCPUs:          n,
+	m, err := machine.New(machine.Spec{
+		Config: hvm.Config{GuestRAMBytes: ramBytes, CodeCacheBytes: 16 << 20, PTPoolBytes: 4 << 20, VCPUs: n},
+		Port:   gp, Engine: engine, Level: level, Parallel: n > 1 && engine == "captive", Trace: rec,
 	})
 	if err != nil {
 		return err
 	}
-	var s *core.SMP
-	switch engine {
-	case "captive":
-		s, err = core.NewSMP(vm, gp, module)
-	case "qemu":
-		s, err = core.NewSMPQEMU(vm, gp, module)
-	default:
-		return fmt.Errorf("unknown engine %q", engine)
-	}
-	if err != nil {
+	if err := m.Load(image, load, entry); err != nil {
 		return err
 	}
-	s.VCPU(0).SetTrace(rec)
-	if err := s.VCPU(0).LoadImage(image, load, entry); err != nil {
+	// ~100 simulated seconds per vCPU; the interpreter counts steps.
+	if err := m.Run(4_000_000_000, 3_500_000_000_0*100); err != nil && err != core.ErrBudget {
 		return err
 	}
-	for i := 1; i < n; i++ {
-		s.VCPU(i).SetPC(entry)
+	if rec != nil {
+		err := rec.Close()
+		if cerr := traceFile.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
 	}
-	budget := uint64(3_500_000_000_0) * 100
-	if engine == "captive" {
-		err = s.RunParallel(budget)
+	if out := m.Console(); out != "" {
+		fmt.Print(out)
+	}
+	arch := gp.Arch()
+	h0 := m.Hart(0)
+	ms := h0.Metrics()
+	if n == 1 {
+		_, code := h0.Halted()
+		fmt.Printf("\n--- %s/%s halted=%v exit=%d ---\n", arch, engine, m.Halted(), code)
+		fmt.Printf("guest instructions: %d\n", ms.GuestInstrs)
+		if engine == "interp" {
+			fmt.Printf("guest exceptions:   %d\n", ms.GuestFaults)
+		} else if secs := perf.Seconds(ms.SimDeciCycles); secs > 0 {
+			fmt.Printf("simulated time:     %.6f s (%.1f guest MIPS @ 3.5 GHz host)\n",
+				secs, float64(ms.GuestInstrs)/secs/1e6)
+			fmt.Printf("blocks translated:  %d (%d bytes of host code)\n", ms.JITBlocks, ms.JITCodeBytes)
+		}
 	} else {
-		err = s.RunDet(budget, quantum)
+		fmt.Printf("\n--- %s/%s x%d halted=%v ---\n", arch, engine, n, m.Halted())
+		var total uint64
+		for i := 0; i < n; i++ {
+			h := m.Hart(i)
+			_, code := h.Halted()
+			fmt.Printf("hart %d: %12d guest instructions (exit=%d)\n", i, h.GuestInstrs(), code)
+			total += h.GuestInstrs()
+		}
+		fmt.Printf("total:  %12d guest instructions\n", total)
 	}
-	if err != nil && err != core.ErrBudget {
-		return err
-	}
-	if err := closeTrace(); err != nil {
-		return err
-	}
-	if out := s.Console(); out != "" {
-		fmt.Print(out)
-	}
-	halted, _ := s.Halted()
-	fmt.Printf("\n--- %s/%s x%d halted=%v ---\n", module.Arch, engine, n, halted)
-	var total uint64
-	for i := 0; i < n; i++ {
-		e := s.VCPU(i)
-		_, code := e.Halted()
-		fmt.Printf("hart %d: %12d guest instructions (exit=%d)\n", i, e.GuestInstrs(), code)
-		total += e.GuestInstrs()
-	}
-	fmt.Printf("total:  %12d guest instructions\n", total)
 	if obs.profile > 0 {
-		prof := s.VCPU(0).ProfileSnapshot()
-		fmt.Printf("hot blocks of hart 0 (top %d of %d, by attributed sim deci-cycles):\n", obs.profile, len(prof))
-		for i, bp := range prof {
-			if i >= obs.profile {
-				break
-			}
-			fmt.Printf("  %#10x  %12d cycles  %10d runs\n", bp.PC, bp.Cycles, bp.Runs)
-		}
-	}
-	if obs.metrics {
-		return printMetricsJSON(s.VCPU(0).Metrics())
-	}
-	return nil
-}
-
-// run executes the image on the selected engine and prints the report.
-func run(gp port.Port, level ssa.OptLevel, engine string, image []byte, load, entry uint64, ramBytes int, obs observeOpts) error {
-	module, err := gp.Module(level)
-	if err != nil {
-		return err
-	}
-	rec, traceFile, err := obs.openTrace()
-	if err != nil {
-		return err
-	}
-	closeTrace := func() error {
-		if rec == nil {
-			return nil
-		}
-		err := rec.Close()
-		if cerr := traceFile.Close(); err == nil {
-			err = cerr
-		}
-		return err
-	}
-
-	if engine == "interp" {
-		m := interp.New(gp, module, ramBytes)
-		m.SetTrace(rec)
-		if err := m.LoadImage(image, load, entry); err != nil {
-			return err
-		}
-		if _, err := m.Run(4_000_000_000); err != nil {
-			return err
-		}
-		if err := closeTrace(); err != nil {
-			return err
-		}
-		if out := m.Console(); out != "" {
-			fmt.Print(out)
-		}
-		fmt.Printf("\n--- %s/interp halted=%v exit=%d ---\n", module.Arch, m.Halted, m.ExitCode)
-		fmt.Printf("guest instructions: %d\n", m.Instrs)
-		fmt.Printf("guest exceptions:   %d\n", m.Exceptions)
-		if obs.profile > 0 {
+		prof := m.Profile()
+		if prof == nil {
 			fmt.Println("hot-block profile: only the DBT engines collect one (-engine captive/qemu)")
+		} else {
+			fmt.Printf("hot blocks (top %d of %d, by attributed sim deci-cycles):\n", obs.profile, len(prof))
 		}
-		if obs.metrics {
-			return printMetricsJSON(m.Metrics())
-		}
-		return nil
-	}
-
-	vm, err := hvm.New(hvm.Config{
-		GuestRAMBytes:  ramBytes,
-		CodeCacheBytes: 16 << 20,
-		PTPoolBytes:    4 << 20,
-	})
-	if err != nil {
-		return err
-	}
-	var e *core.Engine
-	switch engine {
-	case "captive":
-		e, err = core.New(vm, gp, module)
-	case "qemu":
-		e, err = core.NewQEMU(vm, gp, module)
-	default:
-		return fmt.Errorf("unknown engine %q", engine)
-	}
-	if err != nil {
-		return err
-	}
-	e.SetTrace(rec)
-	if err := e.LoadImage(image, load, entry); err != nil {
-		return err
-	}
-	budget := uint64(3_500_000_000_0) * 100 // deci-cycles for ~100 simulated s
-	if err := e.Run(budget); err != nil && err != core.ErrBudget {
-		return err
-	}
-	if err := closeTrace(); err != nil {
-		return err
-	}
-	if out := e.Console(); out != "" {
-		fmt.Print(out)
-	}
-	halted, code := e.Halted()
-	fmt.Printf("\n--- %s/%s halted=%v exit=%d ---\n", module.Arch, engine, halted, code)
-	fmt.Printf("guest instructions: %d\n", e.GuestInstrs())
-	secs := perf.Seconds(e.Cycles())
-	if secs > 0 {
-		fmt.Printf("simulated time:     %.6f s (%.1f guest MIPS @ 3.5 GHz host)\n",
-			secs, float64(e.GuestInstrs())/secs/1e6)
-		fmt.Printf("blocks translated:  %d (%d bytes of host code)\n",
-			e.JIT.Blocks, e.JIT.CodeBytes)
-	}
-	if obs.profile > 0 {
-		prof := e.ProfileSnapshot()
-		fmt.Printf("hot blocks (top %d of %d, by attributed sim deci-cycles):\n", obs.profile, len(prof))
 		for i, bp := range prof {
 			if i >= obs.profile {
 				break
@@ -359,7 +194,7 @@ func run(gp port.Port, level ssa.OptLevel, engine string, image []byte, load, en
 		}
 	}
 	if obs.metrics {
-		return printMetricsJSON(e.Metrics())
+		return printMetricsJSON(ms)
 	}
 	return nil
 }

@@ -33,7 +33,7 @@ func main() {
 	fmt.Printf("  %-16s %12s %12s %10s\n", "engine", "sim-seconds", "guest-MIPS", "blocks")
 	for _, r := range []bench.Result{captiveRes, qemuRes} {
 		fmt.Printf("  %-16s %12.4f %12.1f %10d\n",
-			r.Engine, r.Seconds, float64(r.GuestInstrs)/r.Seconds/1e6, r.JIT.Blocks)
+			r.Engine, r.Seconds, float64(r.GuestInstrs)/r.Seconds/1e6, r.Metrics.JITBlocks)
 	}
 	fmt.Printf("\n  speed-up of Captive over the baseline: %.2fx\n",
 		qemuRes.Seconds/captiveRes.Seconds)

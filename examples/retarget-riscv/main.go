@@ -15,13 +15,11 @@ import (
 	"fmt"
 	"log"
 
-	"captive/internal/core"
 	"captive/internal/guest/rv64"
 	rvasm "captive/internal/guest/rv64/asm"
 	"captive/internal/hvm"
-	"captive/internal/interp"
+	"captive/internal/machine"
 	"captive/internal/perf"
-	"captive/internal/ssa"
 )
 
 // Hand-encoded RV64: iterative factorial of x10 into x11, then ecall.
@@ -109,33 +107,27 @@ func pagedBootProgram() *rvasm.Program {
 	return p
 }
 
-// runDBT executes an image on a Captive or QEMU-baseline engine via the
-// RV64 guest port and returns the engine for state inspection.
-func runDBT(qemu bool, img []byte) (*core.Engine, error) {
-	vm, err := hvm.New(hvm.Config{GuestRAMBytes: ramBytes, CodeCacheBytes: 1 << 20, PTPoolBytes: 1 << 20})
+// run executes an image on one engine through the RV64 guest port and
+// returns its vCPU for state inspection.
+func run(engine string, img []byte) (machine.Hart, error) {
+	m, err := machine.New(machine.Spec{
+		Config: hvm.Config{GuestRAMBytes: ramBytes, CodeCacheBytes: 1 << 20, PTPoolBytes: 1 << 20},
+		Port:   rv64.Port{}, Engine: engine,
+	})
 	if err != nil {
 		return nil, err
 	}
-	module := rv64.MustModule()
-	var e *core.Engine
-	if qemu {
-		e, err = core.NewQEMU(vm, rv64.Port{}, module)
-	} else {
-		e, err = core.New(vm, rv64.Port{}, module)
-	}
-	if err != nil {
+	if err := m.Load(img, org, org); err != nil {
 		return nil, err
 	}
-	if err := e.LoadImage(img, org, org); err != nil {
+	if err := m.Run(1_000_000, 1_000_000_000); err != nil {
 		return nil, err
 	}
-	if err := e.Run(1_000_000_000); err != nil {
-		return nil, err
+	h := m.Hart(0)
+	if halted, code := h.Halted(); !halted || code != 0 {
+		return nil, fmt.Errorf("%s did not exit cleanly (halted=%v code=%d)", engine, halted, code)
 	}
-	if halted, code := e.Halted(); !halted || code != 0 {
-		return nil, fmt.Errorf("engine did not exit cleanly (halted=%v code=%d)", halted, code)
-	}
-	return e, nil
+	return h, nil
 }
 
 func main() {
@@ -146,34 +138,25 @@ func main() {
 
 	// The unified reference interpreter (the golden model) — the same
 	// engine that golden-runs GA64, consuming RISC-V through rv64.Port.
-	m, err := interp.NewAt(rv64.Port{}, ssa.O4, ramBytes)
+	m, err := run("interp", factorialProgram())
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := m.LoadImage(factorialProgram(), org, org); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := m.Run(1_000_000); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%-10s 12! = %-12d %8d guest instructions\n", "interp:", m.Reg(11), m.Instrs)
+	fmt.Printf("%-10s 12! = %-12d %8d guest instructions\n", "interp:", m.Reg(11), m.GuestInstrs())
 
 	// The same Captive online pipeline and QEMU-style baseline that run
 	// GA64, now executing RISC-V through rv64.Port.
-	for _, eng := range []struct {
-		name string
-		qemu bool
-	}{{"captive", false}, {"qemu", true}} {
-		e, err := runDBT(eng.qemu, factorialProgram())
+	for _, name := range []string{"captive", "qemu"} {
+		e, err := run(name, factorialProgram())
 		if err != nil {
-			log.Fatalf("%s: %v", eng.name, err)
+			log.Fatalf("%s: %v", name, err)
 		}
-		result, instrs, cycles := e.Reg(11), e.GuestInstrs(), e.Cycles()
+		result, instrs, cycles := e.Reg(11), e.GuestInstrs(), e.Metrics().SimDeciCycles
 		fmt.Printf("%-10s 12! = %-12d %8d guest instructions, %10.0f cycles (%.2f µs simulated)\n",
-			eng.name+":", result, instrs,
+			name+":", result, instrs,
 			float64(cycles)/perf.DeciCyclesPerCycle, perf.Seconds(cycles)*1e6)
-		if result != m.Reg(11) || instrs != m.Instrs {
-			log.Fatalf("%s diverges from the interpreter", eng.name)
+		if result != m.Reg(11) || instrs != m.GuestInstrs() {
+			log.Fatalf("%s diverges from the interpreter", name)
 		}
 	}
 	fmt.Println("\nall three engines agree bit-for-bit (result and instruction count)")
@@ -186,31 +169,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gm, err := interp.NewAt(rv64.Port{}, ssa.O4, ramBytes)
+	gm, err := run("interp", img)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := gm.LoadImage(img, org, org); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := gm.Run(1_000_000); err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("%-10s fault cause=%d tval=%#x resumed=%#x %8d guest instructions\n",
-		"interp:", gm.Reg(20), gm.Reg(21), gm.Reg(12), gm.Instrs)
-	for _, eng := range []struct {
-		name string
-		qemu bool
-	}{{"captive", false}, {"qemu", true}} {
-		e, err := runDBT(eng.qemu, img)
+		"interp:", gm.Reg(20), gm.Reg(21), gm.Reg(12), gm.GuestInstrs())
+	for _, name := range []string{"captive", "qemu"} {
+		e, err := run(name, img)
 		if err != nil {
-			log.Fatalf("%s: %v", eng.name, err)
+			log.Fatalf("%s: %v", name, err)
 		}
 		sys := rv64.RawSys(e.Sys())
 		fmt.Printf("%-10s fault cause=%d tval=%#x resumed=%#x %8d guest instructions (satp=%#x, %d host faults)\n",
-			eng.name+":", e.Reg(20), e.Reg(21), e.Reg(12), e.GuestInstrs(), sys.Satp, e.Stats.HostFaults)
-		if e.Reg(21) != gm.Reg(21) || e.GuestInstrs() != gm.Instrs || e.Reg(12) != gm.Reg(12) {
-			log.Fatalf("%s diverges from the interpreter on the paged boot", eng.name)
+			name+":", e.Reg(20), e.Reg(21), e.Reg(12), e.GuestInstrs(), sys.Satp, e.Metrics().HostFaults)
+		if e.Reg(21) != gm.Reg(21) || e.GuestInstrs() != gm.GuestInstrs() || e.Reg(12) != gm.Reg(12) {
+			log.Fatalf("%s diverges from the interpreter on the paged boot", name)
 		}
 	}
 	fmt.Println("\nsupervisor-mode RISC-V runs through every engine with zero core changes")

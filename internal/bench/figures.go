@@ -9,6 +9,8 @@ import (
 	"captive/internal/gen"
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/ga64/asm"
+	"captive/internal/machine"
+	"captive/internal/metrics"
 	"captive/internal/perf"
 	"captive/internal/softfloat"
 	"captive/internal/ssa"
@@ -103,10 +105,10 @@ func Fig20(opt Options) (perf.Table, error) {
 		if err != nil {
 			return t, err
 		}
-		dec += r.JIT.DecodeTime
-		tra += r.JIT.TranslateT
-		reg += r.JIT.RegallocT
-		enc += r.JIT.EncodeT
+		dec += time.Duration(r.Metrics.DecodeNS)
+		tra += time.Duration(r.Metrics.TranslateNS)
+		reg += time.Duration(r.Metrics.RegallocNS)
+		enc += time.Duration(r.Metrics.EncodeNS)
 	}
 	total := dec + tra + reg + enc
 	if total == 0 {
@@ -167,22 +169,19 @@ func fig21Points(name string) (xs, ys []float64, err error) {
 	// profiling switch is needed; the chaining-off methodology is kept only
 	// because it is what the paper's Fig. 21 scatter measures.
 	run := func(kind EngineKind) (map[uint64]uint64, map[uint64]uint64, error) {
-		e, err := newEngine(kind, opt)
+		m, err := machine.New(spec(kind, ga64.Port{}, opt))
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := e.LoadImage(img.Kernel, KernelBase, img.Entry); err != nil {
+		if err := loadImage(m, img); err != nil {
 			return nil, nil, err
 		}
-		if err := e.LoadUser(img.User, img.UserPA); err != nil {
-			return nil, nil, err
-		}
-		if err := e.Run(opt.budget()); err != nil {
+		if err := m.Run(interpSteps, opt.budget()); err != nil {
 			return nil, nil, err
 		}
 		cycles := make(map[uint64]uint64)
 		runs := make(map[uint64]uint64)
-		for _, bp := range e.ProfileSnapshot() {
+		for _, bp := range m.Profile() {
 			cycles[bp.PC] = bp.Cycles
 			runs[bp.PC] = bp.Runs
 		}
@@ -282,25 +281,20 @@ func Table2() (perf.Table, error) {
 	if err != nil {
 		return t, err
 	}
-	res, err := RunImage(EngineCaptive, img, "table2", Options{})
+	m, err := machine.New(spec(EngineCaptive, ga64.Port{}, Options{}))
 	if err != nil {
 		return t, err
 	}
-	_ = res
-	e, err := newEngine(EngineCaptive, Options{})
-	if err != nil {
+	if err := m.Load(img.Kernel, KernelBase, img.Entry); err != nil {
 		return t, err
 	}
-	if err := e.LoadImage(img.Kernel, KernelBase, img.Entry); err != nil {
-		return t, err
-	}
-	if err := e.Run(1_000_000_000); err != nil {
+	if err := m.Run(interpSteps, 1_000_000_000); err != nil {
 		return t, err
 	}
 	for i, in := range inputs {
 		x86 := softfloat.Sqrt64(in.bits, softfloat.SemX86)
 		arm := softfloat.Sqrt64(in.bits, softfloat.SemARM)
-		got := e.FReg(i + 8)
+		got := m.Hart(0).FReg(i + 8)
 		if got != arm {
 			return t, fmt.Errorf("table2: captive fsqrt(%s) = %#x, want ARM %#x", in.name, got, arm)
 		}
@@ -329,16 +323,15 @@ func Sec34() (perf.Table, error) {
 	if err != nil {
 		return t, err
 	}
-	cPerBlock := float64(c.JIT.TranslateT.Nanoseconds()+c.JIT.RegallocT.Nanoseconds()+
-		c.JIT.EncodeT.Nanoseconds()+c.JIT.DecodeTime.Nanoseconds()) / float64(max(1, c.JIT.Blocks))
-	qPerBlock := float64(q.JIT.TranslateT.Nanoseconds()+q.JIT.RegallocT.Nanoseconds()+
-		q.JIT.EncodeT.Nanoseconds()+q.JIT.DecodeTime.Nanoseconds()) / float64(max(1, q.JIT.Blocks))
-	t.Add("blocks-translated", float64(c.JIT.Blocks), float64(q.JIT.Blocks))
-	t.Add("bytes-per-guest-inst", float64(c.JIT.CodeBytes)/float64(max(1, c.JIT.GuestInstrs)),
-		float64(q.JIT.CodeBytes)/float64(max(1, q.JIT.GuestInstrs)))
-	t.Add("host-ns-per-block(jit)", cPerBlock, qPerBlock)
-	t.Add("lir-per-guest-inst", float64(c.JIT.LIRInsts)/float64(max(1, c.JIT.GuestInstrs)),
-		float64(q.JIT.LIRInsts)/float64(max(1, q.JIT.GuestInstrs)))
+	jitNS := func(m metrics.Snapshot) float64 {
+		return float64(m.DecodeNS+m.TranslateNS+m.RegallocNS+m.EncodeNS) / float64(max(1, m.JITBlocks))
+	}
+	perInstr := func(n int, m metrics.Snapshot) float64 { return float64(n) / float64(max(1, m.JITGuestInstrs)) }
+	cm, qm := c.Metrics, q.Metrics
+	t.Add("blocks-translated", float64(cm.JITBlocks), float64(qm.JITBlocks))
+	t.Add("bytes-per-guest-inst", perInstr(cm.JITCodeBytes, cm), perInstr(qm.JITCodeBytes, qm))
+	t.Add("host-ns-per-block(jit)", jitNS(cm), jitNS(qm))
+	t.Add("lir-per-guest-inst", perInstr(cm.JITLIRInsts, cm), perInstr(qm.JITLIRInsts, qm))
 	t.Notes = append(t.Notes,
 		"paper: Captive 2.6x slower per translated block; 67.53 vs 40.26 bytes/guest instruction",
 		"paper: ~10 executed host instructions per guest instruction")

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"captive/internal/core"
-	"captive/internal/gen"
 	"captive/internal/guest/ga64"
+	"captive/internal/guest/port"
 	"captive/internal/hvm"
-	"captive/internal/interp"
+	"captive/internal/machine"
+	"captive/internal/metrics"
 	"captive/internal/perf"
 )
 
@@ -45,9 +45,8 @@ type Result struct {
 	Seconds     float64 // simulated wall-clock (cycles @ 3.5 GHz)
 	Checksum    uint64  // guest X1 at exit (cross-engine validation)
 	ExitCode    uint64
-	Wall        time.Duration // real time spent simulating
-	JIT         core.JITStats
-	Engine2     core.Stats
+	Wall        time.Duration    // real time spent simulating
+	Metrics     metrics.Snapshot // the engine's counters and JIT statistics
 	Console     string
 }
 
@@ -72,94 +71,63 @@ func (o Options) budget() uint64 {
 	return o.Budget
 }
 
-// module returns the shared O4 GA64 module.
-func module() *gen.Module { return ga64.MustModule() }
+// interpSteps bounds the reference interpreter's runs (steps, not
+// simulated cycles: it has no host-cycle model).
+const interpSteps = 2_000_000_000
 
-// newEngine builds an engine of the requested kind.
-func newEngine(kind EngineKind, opt Options) (*core.Engine, error) {
-	vm, err := hvm.New(hvm.Config{
-		GuestRAMBytes:  opt.ram(),
-		CodeCacheBytes: 32 << 20,
-		PTPoolBytes:    4 << 20,
-	})
-	if err != nil {
-		return nil, err
+// spec describes the machine a harness run of kind builds for guest g: a
+// host VM with a 32 MiB code cache and a 4 MiB page-table pool around
+// opt's guest RAM.
+func spec(kind EngineKind, g port.Port, opt Options) machine.Spec {
+	s := machine.Spec{
+		Config: hvm.Config{GuestRAMBytes: opt.ram(), CodeCacheBytes: 32 << 20, PTPoolBytes: 4 << 20},
+		Port:   g, Engine: kind.String(), NoChain: opt.ChainingOff,
 	}
-	var e *core.Engine
-	switch kind {
-	case EngineQEMU:
-		e, err = core.NewQEMU(vm, ga64.Port{}, module())
-	default:
-		e, err = core.New(vm, ga64.Port{}, module())
-		if kind == EngineCaptiveSoftFP {
-			e.SoftFP = true
-		}
+	if kind == EngineCaptiveSoftFP {
+		s.Engine, s.SoftFP = "captive", true
 	}
-	if err != nil {
-		return nil, err
+	return s
+}
+
+// loadImage loads a GA64 bench image: the kernel entered at img.Entry and
+// the user programs beside it (an absent one is an empty, no-op load).
+func loadImage(m *machine.Machine, img Image) error {
+	err := m.Load(img.Kernel, KernelBase, img.Entry)
+	if err == nil {
+		err = m.LoadData(img.User, img.UserPA)
 	}
-	e.ChainingOff = opt.ChainingOff
-	return e, nil
+	if err == nil {
+		err = m.LoadData(img.User2, img.User2PA)
+	}
+	return err
 }
 
 // RunImage executes a guest image on the chosen engine.
 func RunImage(kind EngineKind, img Image, name string, opt Options) (Result, error) {
 	res := Result{Workload: name, Engine: kind}
 	start := time.Now()
-	if kind == EngineInterp {
-		m := interp.New(ga64.Port{}, module(), opt.ram())
-		if err := m.LoadImage(img.Kernel, KernelBase, img.Entry); err != nil {
-			return res, err
-		}
-		if img.User != nil {
-			copy(m.Mem[img.UserPA:], img.User)
-		}
-		if img.User2 != nil {
-			copy(m.Mem[img.User2PA:], img.User2)
-		}
-		if _, err := m.Run(2_000_000_000); err != nil {
-			return res, fmt.Errorf("bench %s/interp: %w", name, err)
-		}
-		res.GuestInstrs = m.Instrs
-		res.Checksum = m.Reg(1)
-		res.ExitCode = m.ExitCode
-		res.Console = m.Console()
-		res.Wall = time.Since(start)
-		return res, nil
-	}
-	e, err := newEngine(kind, opt)
+	m, err := machine.New(spec(kind, ga64.Port{}, opt))
 	if err != nil {
 		return res, err
 	}
-	if err := e.LoadImage(img.Kernel, KernelBase, img.Entry); err != nil {
+	if err := loadImage(m, img); err != nil {
 		return res, err
 	}
-	if img.User != nil {
-		if err := e.LoadUser(img.User, img.UserPA); err != nil {
-			return res, err
-		}
+	h := m.Hart(0)
+	if err := m.Run(interpSteps, opt.budget()); err != nil {
+		return res, fmt.Errorf("bench %s/%s: %w (pc=%#x)", name, kind, err, h.PC())
 	}
-	if img.User2 != nil {
-		if err := e.LoadUser(img.User2, img.User2PA); err != nil {
-			return res, err
-		}
-	}
-	if err := e.Run(opt.budget()); err != nil {
-		return res, fmt.Errorf("bench %s/%s: %w (pc=%#x)", name, kind, err, e.PC())
-	}
-	halted, code := e.Halted()
-	if !halted {
+	if !m.Halted() {
 		return res, fmt.Errorf("bench %s/%s: did not halt", name, kind)
 	}
-	res.Cycles = e.Cycles()
+	res.Metrics = h.Metrics()
+	res.Cycles = res.Metrics.SimDeciCycles
 	res.Seconds = perf.Seconds(res.Cycles)
-	res.GuestInstrs = e.GuestInstrs()
-	res.Checksum = e.Reg(1)
-	res.ExitCode = code
+	res.GuestInstrs = h.GuestInstrs()
+	res.Checksum = h.Reg(1)
+	_, res.ExitCode = h.Halted()
 	res.Wall = time.Since(start)
-	res.JIT = e.JIT
-	res.Engine2 = e.Stats
-	res.Console = e.Console()
+	res.Console = m.Console()
 	return res, nil
 }
 

@@ -20,11 +20,9 @@ import (
 	"runtime"
 	"time"
 
-	"captive/internal/core"
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/rv64"
-	"captive/internal/hvm"
-	"captive/internal/interp"
+	"captive/internal/machine"
 	"captive/internal/metrics"
 )
 
@@ -110,52 +108,14 @@ func runGA64MIPS(kind EngineKind, w Workload, opt Options) (MIPSRow, error) {
 	if err != nil {
 		return row, err
 	}
-	if kind == EngineInterp {
-		m := interp.New(ga64.Port{}, module(), opt.ram())
-		if err := m.LoadImage(img.Kernel, KernelBase, img.Entry); err != nil {
-			return row, err
-		}
-		if img.User != nil {
-			copy(m.Mem[img.UserPA:], img.User)
-		}
-		start := time.Now()
-		if _, err := m.Run(2_000_000_000); err != nil {
-			return row, fmt.Errorf("mips %s/interp: %w", w.Name, err)
-		}
-		row.WallSeconds = time.Since(start).Seconds()
-		row.GuestInstrs = m.Instrs
-		row.Checksum = m.Reg(1)
-		ms := m.Metrics()
-		row.Metrics = &ms
-	} else {
-		e, err := newEngine(kind, opt)
-		if err != nil {
-			return row, err
-		}
-		if err := e.LoadImage(img.Kernel, KernelBase, img.Entry); err != nil {
-			return row, err
-		}
-		if img.User != nil {
-			if err := e.LoadUser(img.User, img.UserPA); err != nil {
-				return row, err
-			}
-		}
-		start := time.Now()
-		if err := e.Run(opt.budget()); err != nil {
-			return row, fmt.Errorf("mips %s/%s: %w (pc=%#x)", w.Name, kind, err, e.PC())
-		}
-		row.WallSeconds = time.Since(start).Seconds()
-		if halted, _ := e.Halted(); !halted {
-			return row, fmt.Errorf("mips %s/%s: did not halt", w.Name, kind)
-		}
-		row.GuestInstrs = e.GuestInstrs()
-		row.SimDeciCycles = e.Cycles()
-		row.Checksum = e.Reg(1)
-		ms := e.Metrics()
-		row.Metrics = &ms
+	m, err := machine.New(spec(kind, ga64.Port{}, opt))
+	if err != nil {
+		return row, err
 	}
-	row.GuestMIPS = mips(row.GuestInstrs, row.WallSeconds)
-	return row, nil
+	if err := loadImage(m, img); err != nil {
+		return row, err
+	}
+	return row, timeRun(&row, m, opt, 1)
 }
 
 // runRV64MIPS executes one RV64 kernel on one engine, timing only the run.
@@ -165,60 +125,44 @@ func runRV64MIPS(kind EngineKind, w RVWorkload, opt Options) (MIPSRow, error) {
 	if err != nil {
 		return row, err
 	}
-	if kind == EngineInterp {
-		m := interp.New(rv64.Port{}, rv64.MustModule(), opt.ram())
-		if err := m.LoadImage(img, 0x1000, 0x1000); err != nil {
-			return row, err
-		}
-		start := time.Now()
-		if _, err := m.Run(2_000_000_000); err != nil {
-			return row, fmt.Errorf("mips %s/interp: %w", w.Name, err)
-		}
-		row.WallSeconds = time.Since(start).Seconds()
-		if !m.Halted || m.ExitCode != 0 {
-			return row, fmt.Errorf("mips %s/interp: no clean exit (code %#x)", w.Name, m.ExitCode)
-		}
-		row.GuestInstrs = m.Instrs
-		row.Checksum = m.Reg(11)
-		ms := m.Metrics()
-		row.Metrics = &ms
-	} else {
-		vm, err := hvm.New(hvm.Config{
-			GuestRAMBytes:  opt.ram(),
-			CodeCacheBytes: 32 << 20,
-			PTPoolBytes:    4 << 20,
-		})
-		if err != nil {
-			return row, err
-		}
-		var e *core.Engine
-		if kind == EngineQEMU {
-			e, err = core.NewQEMU(vm, rv64.Port{}, rv64.MustModule())
-		} else {
-			e, err = core.New(vm, rv64.Port{}, rv64.MustModule())
-		}
-		if err != nil {
-			return row, err
-		}
-		if err := e.LoadImage(img, 0x1000, 0x1000); err != nil {
-			return row, err
-		}
-		start := time.Now()
-		if err := e.Run(opt.budget()); err != nil {
-			return row, fmt.Errorf("mips %s/%s: %w (pc=%#x)", w.Name, kind, err, e.PC())
-		}
-		row.WallSeconds = time.Since(start).Seconds()
-		if halted, code := e.Halted(); !halted || code != 0 {
-			return row, fmt.Errorf("mips %s/%s: no clean exit (halted=%v code=%#x)", w.Name, kind, halted, code)
-		}
-		row.GuestInstrs = e.GuestInstrs()
-		row.SimDeciCycles = e.Cycles()
-		row.Checksum = e.Reg(11)
-		ms := e.Metrics()
-		row.Metrics = &ms
+	m, err := machine.New(spec(kind, rv64.Port{}, opt))
+	if err != nil {
+		return row, err
 	}
-	row.GuestMIPS = mips(row.GuestInstrs, row.WallSeconds)
+	if err := m.Load(img, 0x1000, 0x1000); err != nil {
+		return row, err
+	}
+	if err := timeRun(&row, m, opt, 11); err != nil {
+		return row, err
+	}
+	if _, code := m.Hart(0).Halted(); code != 0 {
+		return row, fmt.Errorf("mips %s: exit code %#x", row.Key(), code)
+	}
 	return row, nil
+}
+
+// timeRun runs a loaded machine to halt, timing only the run, and fills in
+// the row: instructions and simulated cycles summed over every hart, the
+// checksum register XORed over them, and hart 0's metrics.
+func timeRun(row *MIPSRow, m *machine.Machine, opt Options, sumReg int) error {
+	start := time.Now()
+	if err := m.Run(interpSteps, opt.budget()); err != nil {
+		return fmt.Errorf("mips %s: %w (pc=%#x)", row.Key(), err, m.Hart(0).PC())
+	}
+	row.WallSeconds = time.Since(start).Seconds()
+	if !m.Halted() {
+		return fmt.Errorf("mips %s: did not halt", row.Key())
+	}
+	for i := 0; i < m.Harts(); i++ {
+		h := m.Hart(i)
+		row.GuestInstrs += h.GuestInstrs()
+		row.SimDeciCycles += h.Metrics().SimDeciCycles
+		row.Checksum ^= h.Reg(sumReg)
+	}
+	ms := m.Hart(0).Metrics()
+	row.Metrics = &ms
+	row.GuestMIPS = mips(row.GuestInstrs, row.WallSeconds)
+	return nil
 }
 
 func mips(instrs uint64, seconds float64) float64 {

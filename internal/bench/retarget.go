@@ -10,10 +10,9 @@ package bench
 import (
 	"fmt"
 
-	"captive/internal/core"
 	"captive/internal/guest/rv64"
 	rvasm "captive/internal/guest/rv64/asm"
-	"captive/internal/hvm"
+	"captive/internal/machine"
 	"captive/internal/perf"
 )
 
@@ -177,38 +176,24 @@ func RunRV64Workload(kind EngineKind, w RVWorkload, opt Options) (RVResult, erro
 	if err != nil {
 		return RVResult{}, err
 	}
-	vm, err := hvm.New(hvm.Config{
-		GuestRAMBytes:  opt.ram(),
-		CodeCacheBytes: 32 << 20,
-		PTPoolBytes:    4 << 20,
-	})
+	m, err := machine.New(spec(kind, rv64.Port{}, opt))
 	if err != nil {
 		return RVResult{}, err
 	}
-	module := rv64.MustModule()
-	var e *core.Engine
-	if kind == EngineQEMU {
-		e, err = core.NewQEMU(vm, rv64.Port{}, module)
-	} else {
-		e, err = core.New(vm, rv64.Port{}, module)
-	}
-	if err != nil {
+	if err := m.Load(img, 0x1000, 0x1000); err != nil {
 		return RVResult{}, err
 	}
-	e.ChainingOff = opt.ChainingOff
-	if err := e.LoadImage(img, 0x1000, 0x1000); err != nil {
-		return RVResult{}, err
+	h := m.Hart(0)
+	if err := m.Run(interpSteps, opt.budget()); err != nil {
+		return RVResult{}, fmt.Errorf("bench %s/%s: %w (pc=%#x)", w.Name, kind, err, h.PC())
 	}
-	if err := e.Run(opt.budget()); err != nil {
-		return RVResult{}, fmt.Errorf("bench %s/%s: %w (pc=%#x)", w.Name, kind, err, e.PC())
-	}
-	if halted, code := e.Halted(); !halted || code != 0 {
+	if halted, code := h.Halted(); !halted || code != 0 {
 		return RVResult{}, fmt.Errorf("bench %s/%s: no clean exit (halted=%v code=%#x)", w.Name, kind, halted, code)
 	}
 	return RVResult{
-		Seconds:     perf.Seconds(e.Cycles()),
-		GuestInstrs: e.GuestInstrs(),
-		Checksum:    e.Reg(11),
+		Seconds:     perf.Seconds(h.Metrics().SimDeciCycles),
+		GuestInstrs: h.GuestInstrs(),
+		Checksum:    h.Reg(11),
 	}, nil
 }
 

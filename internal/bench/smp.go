@@ -15,12 +15,10 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
-	"captive/internal/core"
 	"captive/internal/guest/rv64"
 	rvasm "captive/internal/guest/rv64/asm"
-	"captive/internal/hvm"
+	"captive/internal/machine"
 )
 
 // rvSMPKernel is the per-hart workload: an LCG register mix seeded by
@@ -50,42 +48,21 @@ func runRV64SMPMIPS(n int, iters uint64, opt Options) (MIPSRow, error) {
 	if err != nil {
 		return row, err
 	}
-	vm, err := hvm.New(hvm.Config{
-		GuestRAMBytes:  opt.ram(),
-		CodeCacheBytes: 32 << 20,
-		PTPoolBytes:    4 << 20,
-		VCPUs:          n,
-	})
+	sp := spec(EngineCaptive, rv64.Port{}, opt)
+	sp.VCPUs, sp.Parallel = n, true
+	m, err := machine.New(sp)
 	if err != nil {
 		return row, err
 	}
-	s, err := core.NewSMP(vm, rv64.Port{}, rv64.MustModule())
-	if err != nil {
+	if err := m.Load(img, 0x1000, 0x1000); err != nil {
 		return row, err
 	}
-	if err := s.VCPU(0).LoadImage(img, 0x1000, 0x1000); err != nil {
+	if err := timeRun(&row, m, opt, 11); err != nil {
 		return row, err
 	}
-	for i := 1; i < n; i++ {
-		s.VCPU(i).SetPC(0x1000)
+	if _, code := m.Hart(0).Halted(); code != 0 {
+		return row, fmt.Errorf("mips %s: exit code %#x", row.Key(), code)
 	}
-	start := time.Now()
-	if err := s.RunParallel(opt.budget()); err != nil {
-		return row, fmt.Errorf("mips smp x%d: %w", n, err)
-	}
-	row.WallSeconds = time.Since(start).Seconds()
-	if halted, code := s.Halted(); !halted || code != 0 {
-		return row, fmt.Errorf("mips smp x%d: no clean exit (halted=%v code=%#x)", n, halted, code)
-	}
-	for i := 0; i < n; i++ {
-		e := s.VCPU(i)
-		row.GuestInstrs += e.GuestInstrs()
-		row.SimDeciCycles += e.Cycles()
-		row.Checksum ^= e.Reg(11)
-	}
-	row.GuestMIPS = mips(row.GuestInstrs, row.WallSeconds)
-	ms := s.VCPU(0).Metrics()
-	row.Metrics = &ms
 	return row, nil
 }
 

@@ -1004,7 +1004,7 @@ func (e *Engine) LoadUser(data []byte, gpa uint64) error {
 // compare memory images across engines.
 func (e *Engine) ReadRAM(pa uint64, dst []byte) error {
 	size := e.vm.Layout.GuestRAMSize
-	if pa > size || uint64(len(dst)) > size-pa {
+	if !hvm.InRAM(pa, uint64(len(dst)), size) {
 		return fmt.Errorf("core: ReadRAM [%#x, +%#x) exceeds guest RAM", pa, len(dst))
 	}
 	copy(dst, e.vm.Mem.Bytes(pa, uint64(len(dst))))

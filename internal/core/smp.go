@@ -13,8 +13,8 @@ package core
 //   - RunDet: the deterministic round-robin scheduler (internal/smp) drives
 //     every hart in fixed retired-instruction quanta on one goroutine. The
 //     interleaving is bit-identical across the interpreter cluster, Captive
-//     at every offline level and the QEMU baseline — the CheckSMP difftest
-//     lane depends on it.
+//     at every offline level and the QEMU baseline — difftest's SMPLane
+//     depends on it.
 //   - RunParallel: one goroutine per hart, truly concurrent (Captive only;
 //     the QEMU baseline's global-flush behavior is only supported under the
 //     deterministic scheduler). Mutations of shared translation state run
@@ -229,9 +229,6 @@ func (s *SMP) N() int { return len(s.sh.engines) }
 // VCPU returns the engine driving vCPU i (register access, image loading,
 // per-hart stats, trace recorders).
 func (s *SMP) VCPU(i int) *Engine { return s.sh.engines[i] }
-
-// Console returns the guest UART output.
-func (s *SMP) Console() string { return s.vm.Bus.Console() }
 
 // Halted reports whether every vCPU has halted, and vCPU 0's exit code.
 func (s *SMP) Halted() (bool, uint64) {

@@ -3,8 +3,8 @@ package core_test
 // SMP engine tests: the truly-parallel run mode (one goroutine per hart,
 // stop-the-world for shared translation state) and concurrent engine
 // construction. These are the -race lane's cross-core coverage — the
-// deterministic scheduler's bit-exactness is pinned by the difftest CheckSMP
-// lane; here the interesting property is that parallel harts communicating
+// deterministic scheduler's bit-exactness is pinned by difftest's SMPLane;
+// here the interesting property is that parallel harts communicating
 // through the mutexed device bus and the SMC shootdown protocol are
 // race-clean and live.
 

@@ -6,10 +6,7 @@ package difftest
 // reproducer forever. The initial population was chosen to cover every
 // generator construct (branches, bounded loops, calls, SVC round-trips,
 // FP/vector traffic, register-offset addressing) at several program sizes.
-var RegressionSeeds = []struct {
-	Seed int64
-	Ops  int
-}{
+var RegressionSeeds = []Case{
 	{1, 40}, {2, 40}, {3, 40}, {4, 40}, {5, 40},
 	{6, 80}, {7, 80}, {8, 80}, {9, 80}, {10, 80},
 	{11, 120}, {12, 120}, {13, 120}, {14, 120}, {15, 120},
@@ -20,16 +17,13 @@ var RegressionSeeds = []struct {
 	{777, 200}, {31337, 200}, {65537, 200}, {1 << 40, 200},
 }
 
-// RV64RegressionSeeds is the committed corpus of the RV64 lane (CheckRV64).
+// RV64RegressionSeeds is the committed corpus of the RV64 lane (RV64Lane).
 // Grow it exactly like RegressionSeeds: whenever an RV64 differential
 // failure is found and fixed, the exposing seed goes here. The initial
 // population covers every generator construct (branches, bounded loops,
 // calls, the full M-extension group, indexed addressing) at several program
 // sizes.
-var RV64RegressionSeeds = []struct {
-	Seed int64
-	Ops  int
-}{
+var RV64RegressionSeeds = []Case{
 	{1, 40}, {2, 40}, {3, 40}, {4, 40}, {5, 40},
 	{6, 80}, {7, 80}, {8, 80}, {9, 80}, {10, 80},
 	{11, 120}, {12, 120}, {13, 120}, {14, 120}, {15, 120},
@@ -41,17 +35,14 @@ var RV64RegressionSeeds = []struct {
 }
 
 // RV64SysRegressionSeeds is the committed corpus of the RV64 full-system
-// lane (CheckRV64Sys). Grow it exactly like the other corpora: whenever a
+// lane (RV64SysLane). Grow it exactly like the other corpora: whenever a
 // system-lane differential failure is found and fixed, the exposing seed
 // goes here. Seeds cover both flavours (even seeds tend to draw the U-mode
 // body, odd ones the S-mode body with random medeleg/SUM) and every sys
 // construct: sv39 table building through stores, mret privilege drops,
 // ecall round-trips, directed page faults on all six fault pages, illegal
 // CSR accesses from U-mode and delegated supervisor handling.
-var RV64SysRegressionSeeds = []struct {
-	Seed int64
-	Ops  int
-}{
+var RV64SysRegressionSeeds = []Case{
 	{1, 40}, {2, 40}, {3, 40}, {4, 40}, {5, 40},
 	{6, 80}, {7, 80}, {8, 80}, {9, 80}, {10, 80},
 	{11, 120}, {12, 120}, {13, 120}, {14, 120}, {15, 120},
@@ -63,15 +54,12 @@ var RV64SysRegressionSeeds = []struct {
 }
 
 // SMCRegressionSeeds is the committed corpus of the self-modifying-code
-// lane (CheckSMC): programs that store fresh instruction words over
+// lane (SMCLane): programs that store fresh instruction words over
 // already-executed code and re-execute it, asserting bit-identical state
 // *and* that the SMC invalidation machinery (host-MMU write protection on
 // Captive, dirty tracking on the QEMU baseline) fired. Add exposing seeds
 // here when an SMC divergence is found and fixed.
-var SMCRegressionSeeds = []struct {
-	Seed int64
-	Ops  int
-}{
+var SMCRegressionSeeds = []Case{
 	{1, 40}, {2, 40}, {3, 40}, {4, 40},
 	{5, 80}, {6, 80}, {7, 80}, {8, 80},
 	{9, 120}, {10, 120}, {11, 120}, {12, 120},
@@ -80,15 +68,12 @@ var SMCRegressionSeeds = []struct {
 }
 
 // MMUFaultRegressionSeeds is the committed corpus of the GA64 EL0
-// paging-fault lane (CheckMMUFault): EL0 programs under translation whose
+// paging-fault lane (MMUFaultLane): EL0 programs under translation whose
 // construct stream takes permission and translation aborts *mid-block* —
 // the scenario that demands the unified interpreter's block-granular,
 // fault-aware instruction accounting. Add exposing seeds here when a fault
 // divergence is found and fixed.
-var MMUFaultRegressionSeeds = []struct {
-	Seed int64
-	Ops  int
-}{
+var MMUFaultRegressionSeeds = []Case{
 	{1, 40}, {2, 40}, {3, 40}, {4, 40},
 	{5, 80}, {6, 80}, {7, 80}, {8, 80},
 	{9, 120}, {10, 120}, {11, 120}, {12, 120},
@@ -97,14 +82,11 @@ var MMUFaultRegressionSeeds = []struct {
 }
 
 // MMURegressionSeeds is the committed corpus of the GA64 MMU-on/EL0 lane
-// (CheckMMU): programs that build guest page tables, enable the MMU, drop
+// (MMULane): programs that build guest page tables, enable the MMU, drop
 // to EL0 via eret and run the user-lane construct set under translation,
 // bouncing SVCs through the lower-EL vector. Add exposing seeds here when a
 // paged GA64 divergence is found and fixed.
-var MMURegressionSeeds = []struct {
-	Seed int64
-	Ops  int
-}{
+var MMURegressionSeeds = []Case{
 	{1, 40}, {2, 40}, {3, 40}, {4, 40},
 	{5, 80}, {6, 80}, {7, 80}, {8, 80},
 	{9, 120}, {10, 120}, {11, 120}, {12, 120},
@@ -113,15 +95,12 @@ var MMURegressionSeeds = []struct {
 }
 
 // IRQRegressionSeeds is the committed corpus of the GA64 interrupt lane
-// (CheckIRQ): programs that arm the platform timer through MMIO, enable
+// (IRQLane): programs that arm the platform timer through MMIO, enable
 // and mask the line through IRQEN/DAIF, mix WFI (wake, idle-skip and
 // halt paths) with straight-line work and take vectored timer interrupts
 // whose arrival points are part of the compared state. Add exposing seeds
 // here when an injection divergence is found and fixed.
-var IRQRegressionSeeds = []struct {
-	Seed int64
-	Ops  int
-}{
+var IRQRegressionSeeds = []Case{
 	{1, 40}, {2, 40}, {3, 40}, {4, 40},
 	{5, 80}, {6, 80}, {7, 80}, {8, 80},
 	{9, 120}, {10, 120}, {11, 120}, {12, 120},
@@ -131,16 +110,13 @@ var IRQRegressionSeeds = []struct {
 }
 
 // SMPRegressionSeeds is the committed corpus of the two-hart SMP lane
-// (CheckSMP): one image dispatched on mhartid, both harts running the user
+// (SMPLane): one image dispatched on mhartid, both harts running the user
 // construct set (branches, loops, calls, misaligned and page-straddling
 // accesses, cross-page SMC) over disjoint buffers plus interleaving-
 // sensitive peer loads from the sibling's buffer, all driven by the
 // deterministic round-robin scheduler. Add exposing seeds here when a
 // cross-hart divergence is found and fixed.
-var SMPRegressionSeeds = []struct {
-	Seed int64
-	Ops  int
-}{
+var SMPRegressionSeeds = []Case{
 	{1, 40}, {2, 40}, {3, 40}, {4, 40},
 	{5, 80}, {6, 80}, {7, 80}, {8, 80},
 	{9, 120}, {10, 120}, {11, 120}, {12, 120},
@@ -149,15 +125,12 @@ var SMPRegressionSeeds = []struct {
 }
 
 // RV64IRQRegressionSeeds is the committed corpus of the RV64 interrupt
-// lane (CheckRV64IRQ). Even/odd seeds tend to draw the M-/S-mode body
+// lane (RV64IRQLane). Even/odd seeds tend to draw the M-/S-mode body
 // flavours: machine-timer interrupts to mtvec, delegated supervisor
 // software interrupts to stvec, mip/sip traffic, WFI and mstatus/sstatus
 // mask toggles. Add exposing seeds here when an injection divergence is
 // found and fixed.
-var RV64IRQRegressionSeeds = []struct {
-	Seed int64
-	Ops  int
-}{
+var RV64IRQRegressionSeeds = []Case{
 	{1, 40}, {2, 40}, {3, 40}, {4, 40},
 	{5, 80}, {6, 80}, {7, 80}, {8, 80},
 	{9, 120}, {10, 120}, {11, 120}, {12, 120},

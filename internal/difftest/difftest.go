@@ -7,10 +7,7 @@ import (
 	"strings"
 	"sync"
 
-	"captive/internal/core"
 	"captive/internal/guest/ga64"
-	"captive/internal/hvm"
-	"captive/internal/interp"
 	"captive/internal/ssa"
 )
 
@@ -158,210 +155,4 @@ const (
 	cycleBudget = 4_000_000_000
 )
 
-// Run executes a generated program on one engine configuration.
-func Run(p *Program, id EngineID) (State, error) {
-	st, _, err := RunStats(p, id)
-	return st, err
-}
-
-// RunStats executes a generated program like Run and additionally returns
-// the DBT engine's runtime statistics (zero-valued for the interpreter
-// lanes, which have no host faults or SMC protection). The SMC lane asserts
-// on Stats.SMCInvals through this.
-func RunStats(p *Program, id EngineID) (State, core.Stats, error) {
-	module, err := ga64.NewModule(id.Level)
-	if err != nil {
-		return State{}, core.Stats{}, err
-	}
-	switch id.Name {
-	case "interp":
-		m := interp.New(ga64.Port{}, module, RAMBytes)
-		copy(m.Mem[HandlerBase:], p.Handler)
-		if err := m.LoadImage(p.Image, Org, Org); err != nil {
-			return State{}, core.Stats{}, err
-		}
-		if _, err := m.Run(stepLimit); err != nil {
-			return State{}, core.Stats{}, err
-		}
-		if !m.Halted {
-			return State{}, core.Stats{}, fmt.Errorf("interp: did not halt")
-		}
-		st := State{Regs: m.RegState(), Instrs: m.Instrs, ExitCode: m.ExitCode}
-		st.Data = append(st.Data, m.Mem[ProbeStart:ProbeEnd]...)
-		st.Data = append(st.Data, m.Mem[StackProbe:StackEnd]...)
-		return st, core.Stats{}, nil
-
-	case "captive", "qemu":
-		vm, err := hvm.New(hvm.Config{GuestRAMBytes: RAMBytes, CodeCacheBytes: 4 << 20, PTPoolBytes: 2 << 20})
-		if err != nil {
-			return State{}, core.Stats{}, err
-		}
-		var e *core.Engine
-		if id.Name == "qemu" {
-			e, err = core.NewQEMU(vm, ga64.Port{}, module)
-		} else {
-			e, err = core.New(vm, ga64.Port{}, module)
-		}
-		if err != nil {
-			return State{}, core.Stats{}, err
-		}
-		if err := e.LoadUser(p.Handler, HandlerBase); err != nil {
-			return State{}, core.Stats{}, err
-		}
-		if err := e.LoadImage(p.Image, Org, Org); err != nil {
-			return State{}, core.Stats{}, err
-		}
-		if err := e.Run(cycleBudget); err != nil {
-			return State{}, core.Stats{}, fmt.Errorf("%s: %w", id, err)
-		}
-		halted, code := e.Halted()
-		if !halted {
-			return State{}, core.Stats{}, fmt.Errorf("%s: did not halt", id)
-		}
-		st := State{Regs: e.RegState(), Instrs: e.GuestInstrs(), ExitCode: code}
-		buf := make([]byte, (ProbeEnd-ProbeStart)+(StackEnd-StackProbe))
-		if err := e.ReadRAM(ProbeStart, buf[:ProbeEnd-ProbeStart]); err != nil {
-			return State{}, core.Stats{}, err
-		}
-		if err := e.ReadRAM(StackProbe, buf[ProbeEnd-ProbeStart:]); err != nil {
-			return State{}, core.Stats{}, err
-		}
-		st.Data = buf
-		return st, e.Stats, nil
-	}
-	return State{}, core.Stats{}, fmt.Errorf("difftest: unknown engine %q", id.Name)
-}
-
-// Mismatch describes a differential failure, including the minimized
-// reproducer.
-type Mismatch struct {
-	Seed      int64
-	ID        EngineID
-	Detail    string
-	Minimized []uint32 // minimized instruction words of the main image
-	RV64      bool     // failure from the RV64 lane
-}
-
-// Error implements error.
-func (m *Mismatch) Error() string {
-	arch, nop, org := "ga64", nopWord, uint32(Org)
-	if m.RV64 {
-		arch, nop, org = "rv64", uint32(rvNopWord), uint32(RVOrg)
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "difftest: %s seed %d: %s diverges from %s: %s\n", arch, m.Seed, m.ID, Golden, m.Detail)
-	fmt.Fprintf(&sb, "minimized program (%d live words):\n", countLiveNop(m.Minimized, nop))
-	for i, w := range m.Minimized {
-		if w == nop {
-			continue
-		}
-		fmt.Fprintf(&sb, "  %#06x: %#08x\n", org+uint32(4*i), w)
-	}
-	return sb.String()
-}
-
-// Check generates the program for a seed, runs it through the full engine
-// matrix and compares every configuration against the golden interpreter.
-// On divergence the failing program is automatically minimized.
-func Check(seed int64, ops int) error {
-	return checkGA64(seed, ops, Generate)
-}
-
-// checkGA64 is the GA64 matrix check shared by the user-level and MMU-on
-// lanes; generate builds the program for the seed.
-func checkGA64(seed int64, ops int, generate func(int64, int) (*Program, error)) error {
-	p, err := generate(seed, ops)
-	if err != nil {
-		return fmt.Errorf("difftest: seed %d: generate: %w", seed, err)
-	}
-	golden, err := Run(p, Golden)
-	if err != nil {
-		return fmt.Errorf("difftest: seed %d: golden run: %w", seed, err)
-	}
-	for _, id := range Configs() {
-		st, err := Run(p, id)
-		if err != nil {
-			return fmt.Errorf("difftest: seed %d: %w", seed, err)
-		}
-		if st.Equal(golden) {
-			continue
-		}
-		detail := golden.Diff(st)
-		words := Minimize(p, id)
-		return &Mismatch{Seed: seed, ID: id, Detail: detail, Minimized: words}
-	}
-	return nil
-}
-
 var nopWord = ga64.EncS(ga64.OpNop, 0, 0, 0)
-
-func countLive(words []uint32) int { return countLiveNop(words, nopWord) }
-
-func countLiveNop(words []uint32, nop uint32) int {
-	n := 0
-	for _, w := range words {
-		if w != nop {
-			n++
-		}
-	}
-	return n
-}
-
-// Minimize shrinks a failing program by replacing instruction words with
-// NOPs while the divergence against the golden interpreter persists.
-// Replacing (rather than deleting) preserves branch displacements, so every
-// intermediate candidate remains a well-formed program. The reduction loops
-// to a fixpoint.
-func Minimize(p *Program, id EngineID) []uint32 {
-	words := make([]uint32, len(p.Image)/4)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint32(p.Image[4*i:])
-	}
-	stillFails := func(ws []uint32) bool {
-		img := make([]byte, 4*len(ws))
-		for i, w := range ws {
-			binary.LittleEndian.PutUint32(img[4*i:], w)
-		}
-		cand := &Program{Seed: p.Seed, Image: img, Handler: p.Handler}
-		g, err := Run(cand, Golden)
-		if err != nil {
-			return false // must still run cleanly on the golden model
-		}
-		st, err := Run(cand, id)
-		if err != nil {
-			return false
-		}
-		return !st.Equal(g)
-	}
-	return minimizeWords(words, stillFails)
-}
-
-// minimizeWords is the GA64 reduction entry point.
-func minimizeWords(words []uint32, stillFails func([]uint32) bool) []uint32 {
-	return minimizeWordsNop(words, nopWord, stillFails)
-}
-
-// minimizeWordsNop is the reduction core: greedily replace words with the
-// lane's NOP while the predicate keeps reporting failure, looping to a
-// fixpoint. A program that does not fail is returned unchanged.
-func minimizeWordsNop(words []uint32, nop uint32, stillFails func([]uint32) bool) []uint32 {
-	if !stillFails(words) {
-		return words // not reproducible under re-run; return unreduced
-	}
-	for changed := true; changed; {
-		changed = false
-		for i := range words {
-			if words[i] == nop {
-				continue
-			}
-			save := words[i]
-			words[i] = nop
-			if stillFails(words) {
-				changed = true
-			} else {
-				words[i] = save
-			}
-		}
-	}
-	return words
-}

@@ -2,137 +2,18 @@ package difftest
 
 import (
 	"encoding/binary"
-	"fmt"
 	"strings"
 	"testing"
 
-	"captive/internal/guest/ga64"
 	"captive/internal/ssa"
 )
 
-// TestCorpus replays the committed regression-seed corpus on every engine
-// configuration. This always runs, including under -short.
-func TestCorpus(t *testing.T) {
-	for _, c := range RegressionSeeds {
-		c := c
-		if err := Check(c.Seed, c.Ops); err != nil {
-			t.Errorf("corpus seed %d (ops %d):\n%v", c.Seed, c.Ops, err)
-		}
-	}
-}
-
-// TestSweep runs the full differential sweep: 500 fresh seeded programs
-// through the interpreter, the Captive DBT at O1–O4 and the QEMU baseline,
-// asserting bit-identical register files, flags, memory and instruction
-// counts. Under -short a 50-seed subset runs. Seeds are sharded across
-// parallel subtests (per-seed engines, deterministic per seed).
-func TestSweep(t *testing.T) {
-	n := 500
-	if testing.Short() {
-		n = 50
-	}
-	sweepShards(t, n, func(i int) error {
-		seed := int64(1_000_000 + i)
-		ops := 40 + (i%5)*30
-		if err := Check(seed, ops); err != nil {
-			return fmt.Errorf("sweep seed %d (ops %d):\n%w", seed, ops, err)
-		}
-		return nil
-	})
-}
-
-// TestGenerateDeterministic pins generation to the seed: the same seed must
-// produce the same image byte-for-byte, or the corpus stops being a corpus.
-func TestGenerateDeterministic(t *testing.T) {
-	a, err := Generate(42, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Generate(42, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a.Image) != string(b.Image) || string(a.Handler) != string(b.Handler) {
-		t.Fatal("generation is not deterministic")
-	}
-	c, err := Generate(43, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a.Image) == string(c.Image) {
-		t.Fatal("different seeds produced identical programs")
-	}
-}
-
-// TestRunMatrixExecutes sanity-checks that each engine configuration
-// actually executes a program (non-zero instruction count, clean halt).
-func TestRunMatrixExecutes(t *testing.T) {
-	p, err := Generate(7, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := append([]EngineID{Golden}, Configs()...)
-	for _, id := range ids {
-		st, err := Run(p, id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if st.Instrs == 0 {
-			t.Errorf("%s: no instructions retired", id)
-		}
-		if st.ExitCode != 0 {
-			t.Errorf("%s: exit code %d", id, st.ExitCode)
-		}
-	}
-}
-
-// TestMinimizeShrinks drives the NOP-replacement reduction loop with a
-// synthetic failure predicate: the "bug" triggers whenever two specific
-// marker words are both present. The minimizer must NOP out everything
-// else and keep exactly the two markers.
-func TestMinimizeShrinks(t *testing.T) {
-	const markerA, markerB = 0xAAAA0001, 0xBBBB0002
-	words := make([]uint32, 64)
-	for i := range words {
-		words[i] = 0x11110000 + uint32(i) // irrelevant filler
-	}
-	words[13] = markerA
-	words[47] = markerB
-	stillFails := func(ws []uint32) bool {
-		var a, b bool
-		for _, w := range ws {
-			a = a || w == markerA
-			b = b || w == markerB
-		}
-		return a && b
-	}
-	out := minimizeWords(words, stillFails)
-	if len(out) != 64 {
-		t.Fatalf("minimizer changed program length: %d", len(out))
-	}
-	if countLive(out) != 2 || out[13] != markerA || out[47] != markerB {
-		t.Fatalf("minimizer kept %d live words (want exactly the 2 markers): %#x", countLive(out), out)
-	}
-}
-
-// TestMinimizeKeepsNonFailing verifies the guard path: a program whose
-// predicate does not fail comes back byte-identical (no spurious reduction
-// of an unreproducible report).
-func TestMinimizeKeepsNonFailing(t *testing.T) {
-	p, err := Generate(99, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	words := Minimize(p, EngineID{Name: "captive", Level: ssa.O4})
-	if len(words) != len(p.Image)/4 {
-		t.Fatalf("minimizer changed program length: %d words vs %d", len(words), len(p.Image)/4)
-	}
-	for i, w := range words {
-		if binary.LittleEndian.Uint32(p.Image[4*i:]) != w {
-			t.Fatal("minimizer mutated a non-failing program")
-		}
-	}
-}
+// The GA64 user-level lane: its corpus (every mode), its 500-seed sweep
+// (50 under -short) and its generator and matrix sanity checks.
+func TestCorpus(t *testing.T)                { testCorpus(t, GA64Lane) }
+func TestSweep(t *testing.T)                 { testSweep(t, GA64Lane) }
+func TestGenerateDeterministic(t *testing.T) { testDeterministic(t, GA64Lane) }
+func TestRunMatrixExecutes(t *testing.T)     { testMatrixExecutes(t, GA64Lane) }
 
 // TestStateDiffReporting checks the human-readable diff output names the
 // diverging register.
@@ -163,16 +44,15 @@ func TestSVCRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Run(p, Golden)
+	g, err := GA64Lane.Run(p, Golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Run(p, EngineID{Name: "captive", Level: ssa.O4})
+	out, err := GA64Lane.Run(p, EngineID{Name: "captive", Level: ssa.O4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.Equal(g) {
-		t.Fatalf("SVC program diverged: %s", g.Diff(st))
+	if !statesEqual(out.States, g.States) {
+		t.Fatalf("SVC program diverged: %s", statesDiff(g.States, out.States))
 	}
-	_ = ga64.ECSVC
 }

@@ -14,7 +14,6 @@ package difftest
 // path) on every seed.
 
 import (
-	"fmt"
 	"math/rand"
 
 	"captive/internal/guest/ga64"
@@ -48,59 +47,18 @@ const faultSigReg = 25
 // arranged), and a body mixing the EL0 construct set with directed fault
 // accesses.
 func GenerateMMUFault(seed int64, ops int) (*Program, error) {
-	rng := rand.New(rand.NewSource(seed))
-	p := asm.New(Org)
-	g := &generator{rng: rng, p: p, el0: true,
+	g := &generator{rng: rand.New(rand.NewSource(seed)), p: asm.New(Org), el0: true,
 		faultVAs: []uint64{FaultROPage, FaultKernPage, FaultUnmapped}}
 
-	// Page tables (X2/X3 scratch; reseeded by the prologue below): the MMU
-	// lane's 2 MiB identity mapping plus the directed-fault level-0 table.
-	store := func(addr, val uint64) {
-		p.MovI(2, val)
-		p.MovI(3, addr)
-		p.Str(2, 3, 0)
-	}
-	ptr := uint64(ga64.PTEValid | ga64.PTEWrite | ga64.PTEUser)
-	store(mmuL3, mmuL2|ptr)
-	store(mmuL2, mmuL1|ptr)
-	for i := uint64(0); i < 4; i++ {
-		store(mmuL1+i*8, i*0x200000|ptr|ga64.PTELarge)
-	}
-	store(mmuL1+4*8, faultL0|ptr) // VA [8 MiB, 10 MiB) -> directed pages
-	store(faultL0+0*8, faultROPA|ga64.PTEValid|ga64.PTEUser)
-	store(faultL0+1*8, faultKernPA|ga64.PTEValid|ga64.PTEWrite)
-	// faultL0[2] (FaultUnmapped) stays zero: no valid bit.
-
-	// Registers, VBAR and flags (the user lane's prologue), then clear the
-	// signature accumulator so its folds are seed-deterministic.
-	g.prologue()
-	p.MovI(faultSigReg, 0)
-
-	// Enable translation and drop to EL0 at the fixed entry point.
-	p.MovI(2, mmuL3)
-	p.Msr(ga64.SysTTBR0, 2)
-	p.MovI(2, ga64.SCTLRMmuEnable)
-	p.Msr(ga64.SysSCTLR, 2)
-	p.MovI(2, 0) // SPSR: EL0, clear flags
-	p.Msr(ga64.SysSPSR, 2)
-	p.MovI(2, MMUEntry)
-	p.Msr(ga64.SysELR, 2)
-	p.MovI(2, rng.Uint64()>>(uint(rng.Intn(5))*13)) // reseed the scratch
-	p.Eret()
-	if p.PC() > MMUEntry {
-		return nil, fmt.Errorf("difftest: fault-lane prologue (%#x) overran the fixed EL0 entry %#x", p.PC(), uint64(MMUEntry))
-	}
-	for p.PC() < MMUEntry {
-		p.Nop() // never executed: padding up to the eret target
-	}
-
-	for i := 0; i < ops; i++ {
-		g.construct()
-	}
-	p.Hlt(0)
-	g.epilogue()
-
-	img, err := p.Assemble()
+	// The MMU lane's identity mapping plus the directed-fault level-0 table
+	// (faultL0[2], FaultUnmapped, stays zero: no valid bit). The signature
+	// accumulator is cleared after the prologue so its folds are
+	// seed-deterministic.
+	img, err := g.el0Image(ops, [][2]uint64{
+		{mmuL1 + 4*8, faultL0 | el0PTE}, // VA [8 MiB, 10 MiB) -> directed pages
+		{faultL0 + 0*8, faultROPA | ga64.PTEValid | ga64.PTEUser},
+		{faultL0 + 1*8, faultKernPA | ga64.PTEValid | ga64.PTEWrite},
+	}, faultSigReg)
 	if err != nil {
 		return nil, err
 	}
@@ -134,12 +92,4 @@ func GenerateMMUFault(seed int64, ops int) (*Program, error) {
 		return nil, err
 	}
 	return &Program{Seed: seed, Ops: ops, Image: img, Handler: himg}, nil
-}
-
-// CheckMMUFault generates the EL0 paging-fault program for a seed, runs it
-// through the full engine matrix and compares every configuration against
-// the golden interpreter, minimizing on divergence (the harness and
-// minimizer are the user lane's — only the generator differs).
-func CheckMMUFault(seed int64, ops int) error {
-	return checkGA64(seed, ops, GenerateMMUFault)
 }

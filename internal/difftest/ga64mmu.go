@@ -25,58 +25,16 @@ const (
 	MMUEntry = Org + 0x1000
 )
 
+// el0PTE marks a page-table entry valid, writable and user-accessible.
+const el0PTE = ga64.PTEValid | ga64.PTEWrite | ga64.PTEUser
+
 // GenerateMMU builds a random MMU-on/EL0 GA64 program: the EL1 prologue
-// stores a 2 MiB-granule identity mapping of all guest RAM (valid, writable,
-// user at every level), points TTBR0 at it, enables the MMU, then erets to
-// EL0 where the standard construct set runs under translation until hlt #0.
+// stores a 2 MiB-granule identity mapping of all guest RAM, points TTBR0 at
+// it, enables the MMU, then erets to EL0 where the standard construct set
+// runs under translation until hlt #0.
 func GenerateMMU(seed int64, ops int) (*Program, error) {
-	rng := rand.New(rand.NewSource(seed))
-	p := asm.New(Org)
-	g := &generator{rng: rng, p: p, el0: true}
-
-	// Page tables first (X2/X3 scratch; reseeded by the prologue below).
-	store := func(addr, val uint64) {
-		p.MovI(2, val)
-		p.MovI(3, addr)
-		p.Str(2, 3, 0)
-	}
-	ptr := uint64(ga64.PTEValid | ga64.PTEWrite | ga64.PTEUser)
-	store(mmuL3, mmuL2|ptr)
-	store(mmuL2, mmuL1|ptr)
-	for i := uint64(0); i < 4; i++ {
-		store(mmuL1+i*8, i*0x200000|ptr|ga64.PTELarge)
-	}
-
-	// Registers, VBAR and flags (the user lane's prologue).
-	g.prologue()
-
-	// Enable translation and drop to EL0 at the fixed entry point.
-	p.MovI(2, mmuL3)
-	p.Msr(ga64.SysTTBR0, 2)
-	p.MovI(2, ga64.SCTLRMmuEnable)
-	p.Msr(ga64.SysSCTLR, 2)
-	p.MovI(2, 0) // SPSR: EL0, clear flags
-	p.Msr(ga64.SysSPSR, 2)
-	p.MovI(2, MMUEntry)
-	p.Msr(ga64.SysELR, 2)
-	p.MovI(2, rng.Uint64()>>(uint(rng.Intn(5))*13)) // reseed the scratch
-	p.Eret()
-	if p.PC() > MMUEntry {
-		// A silent overrun would make the eret land backward inside the
-		// prologue and loop forever on every engine.
-		return nil, fmt.Errorf("difftest: MMU prologue (%#x) overran the fixed EL0 entry %#x", p.PC(), uint64(MMUEntry))
-	}
-	for p.PC() < MMUEntry {
-		p.Nop() // never executed: padding up to the eret target
-	}
-
-	for i := 0; i < ops; i++ {
-		g.construct()
-	}
-	p.Hlt(0)
-	g.epilogue()
-
-	img, err := p.Assemble()
+	g := &generator{rng: rand.New(rand.NewSource(seed)), p: asm.New(Org), el0: true}
+	img, err := g.el0Image(ops, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -96,10 +54,55 @@ func GenerateMMU(seed int64, ops int) (*Program, error) {
 	return &Program{Seed: seed, Ops: ops, Image: img, Handler: himg}, nil
 }
 
-// CheckMMU generates the MMU-on program for a seed, runs it through the full
-// engine matrix and compares every configuration against the golden
-// interpreter, minimizing on divergence (the harness and minimizer are the
-// user lane's — only the generator differs).
-func CheckMMU(seed int64, ops int) error {
-	return checkGA64(seed, ops, GenerateMMU)
+// el0Image assembles the program of a paged EL0 lane. The EL1 prologue
+// stores the identity mapping (valid, writable, user at every level) and
+// then the extra (address, entry) pairs, runs the user lane's prologue,
+// sets each register in zero to 0, enables translation and erets to EL0 at
+// MMUEntry, where ops constructs run until hlt #0.
+func (g *generator) el0Image(ops int, extra [][2]uint64, zero ...asm.Reg) ([]byte, error) {
+	p, rng := g.p, g.rng
+
+	// Page tables first (X2/X3 scratch; reseeded by the prologue below).
+	stores := [][2]uint64{{mmuL3, mmuL2 | el0PTE}, {mmuL2, mmuL1 | el0PTE}}
+	for i := uint64(0); i < 4; i++ {
+		stores = append(stores, [2]uint64{mmuL1 + i*8, i*0x200000 | el0PTE | ga64.PTELarge})
+	}
+	for _, st := range append(stores, extra...) {
+		p.MovI(2, st[1])
+		p.MovI(3, st[0])
+		p.Str(2, 3, 0)
+	}
+
+	// Registers, VBAR and flags (the user lane's prologue).
+	g.prologue()
+	for _, r := range zero {
+		p.MovI(r, 0)
+	}
+
+	// Enable translation and drop to EL0 at the fixed entry point.
+	p.MovI(2, mmuL3)
+	p.Msr(ga64.SysTTBR0, 2)
+	p.MovI(2, ga64.SCTLRMmuEnable)
+	p.Msr(ga64.SysSCTLR, 2)
+	p.MovI(2, 0) // SPSR: EL0, clear flags
+	p.Msr(ga64.SysSPSR, 2)
+	p.MovI(2, MMUEntry)
+	p.Msr(ga64.SysELR, 2)
+	p.MovI(2, rng.Uint64()>>(uint(rng.Intn(5))*13)) // reseed the scratch
+	p.Eret()
+	if p.PC() > MMUEntry {
+		// A silent overrun would make the eret land backward inside the
+		// prologue and loop forever on every engine.
+		return nil, fmt.Errorf("difftest: EL1 prologue (%#x) overran the fixed EL0 entry %#x", p.PC(), uint64(MMUEntry))
+	}
+	for p.PC() < MMUEntry {
+		p.Nop() // never executed: padding up to the eret target
+	}
+
+	for i := 0; i < ops; i++ {
+		g.construct()
+	}
+	p.Hlt(0)
+	g.epilogue()
+	return p.Assemble()
 }

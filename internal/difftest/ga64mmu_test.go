@@ -2,39 +2,8 @@ package difftest
 
 import "testing"
 
-// TestMMUCorpus replays the committed MMU-on/EL0 regression corpus.
-func TestMMUCorpus(t *testing.T) {
-	for _, c := range MMURegressionSeeds {
-		c := c
-		if err := CheckMMU(c.Seed, c.Ops); err != nil {
-			t.Error(err)
-		}
-	}
-}
-
-// TestMMUSweep is the paged GA64 differential sweep: generated EL0 programs
-// running under guest translation through every engine, bit-identical.
-func TestMMUSweep(t *testing.T) {
-	seeds, base := 100, int64(5000)
-	if testing.Short() {
-		seeds = 15
-	}
-	sweepShards(t, seeds, func(i int) error {
-		return CheckMMU(base+int64(i), 40+i%5*40)
-	})
-}
-
-// TestMMUGenerateDeterministic pins generator determinism.
-func TestMMUGenerateDeterministic(t *testing.T) {
-	a, err := GenerateMMU(7, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateMMU(7, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a.Image) != string(b.Image) || string(a.Handler) != string(b.Handler) {
-		t.Fatal("GenerateMMU is not deterministic")
-	}
-}
+// The GA64 MMU-on/EL0 lane: generated EL0 programs running under guest
+// translation through every engine, bit-identical.
+func TestMMUCorpus(t *testing.T)                { testCorpus(t, MMULane) }
+func TestMMUSweep(t *testing.T)                 { testSweep(t, MMULane) }
+func TestMMUGenerateDeterministic(t *testing.T) { testDeterministic(t, MMULane) }

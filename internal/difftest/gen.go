@@ -1,12 +1,21 @@
-// Package difftest is the cross-engine differential-testing subsystem: a
-// seeded random GA64 instruction-stream generator plus a harness that runs
-// each generated program through the SSA interpreter (the golden model), the
-// Captive DBT engine and the QEMU-style baseline, across offline
+// Package difftest is the cross-engine differential-testing subsystem.
+// Seeded random program generators for both guests feed one harness that
+// runs each program through the reference interpreter (the golden model),
+// the Captive DBT engine and the QEMU-style baseline across offline
 // optimization levels O1–O4, and asserts bit-identical architectural state.
 // This is how related DBT work validates translation correctness (the
 // learned-rules DBT of Jiang et al. verifies every rule against an
-// interpreter oracle), and it is the safety net every future optimization PR
-// in this repository is verified against.
+// interpreter oracle), and it is the safety net every optimization in this
+// repository is verified against.
+//
+// Each lane is a Lane descriptor (lanes.go): its generator, guest port and
+// hart count, the probed memory windows, an optional CSR snapshot, the
+// minimizer's candidate filter, an optional post-check, and its corpus and
+// sweep parameters. One runner (Lane.Run) builds every machine through
+// internal/machine, one matrix checker (Lane.Check, Lane.CheckProgram)
+// compares each configuration against the golden run, and one NOP-replacing
+// minimizer (Lane.Minimize) shrinks a divergence into the reproducer a
+// *Mismatch prints. The trace lane is any lane's Traced copy.
 package difftest
 
 import (
@@ -74,18 +83,20 @@ func Generate(seed int64, ops int) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Exception vectors: EL1-sync (VBAR+0) returns to the interrupted
-	// stream. Generated code runs at EL1 only and raises only SVCs, so a
-	// bare eret stub suffices.
-	h := asm.New(HandlerBase)
-	h.Eret()
-	himg, err := h.Assemble()
+	himg, err := eretStub()
 	if err != nil {
 		return nil, err
 	}
-
 	return &Program{Seed: seed, Ops: ops, Image: img, Handler: himg}, nil
+}
+
+// eretStub assembles the exception vectors of the EL1 lanes: EL1-sync
+// (VBAR+0) returns to the interrupted stream. Their code runs at EL1 only
+// and raises only SVCs, so a bare eret suffices.
+func eretStub() ([]byte, error) {
+	h := asm.New(HandlerBase)
+	h.Eret()
+	return h.Assemble()
 }
 
 type generator struct {

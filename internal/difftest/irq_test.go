@@ -2,7 +2,6 @@ package difftest
 
 import (
 	"encoding/binary"
-	"fmt"
 	"testing"
 
 	"captive/internal/device"
@@ -12,147 +11,22 @@ import (
 	"captive/internal/guest/rv64/asm"
 )
 
-// TestIRQCorpus replays the committed GA64 interrupt-lane corpus on every
-// engine configuration. This always runs, including under -short.
-func TestIRQCorpus(t *testing.T) {
-	for _, c := range IRQRegressionSeeds {
-		if err := CheckIRQ(c.Seed, c.Ops); err != nil {
-			t.Errorf("irq corpus seed %d (ops %d):\n%v", c.Seed, c.Ops, err)
-		}
-	}
-}
+// The interrupt lanes of both guests: timer arming through MMIO, WFI
+// (both the wake and the idle-skip paths), enable/mask toggles and
+// vectored deliveries, all asserted bit-identical; the RV64 half adds
+// delegated supervisor software interrupts to stvec and both the M- and
+// S-mode body flavours.
+func TestIRQCorpus(t *testing.T)     { testCorpus(t, IRQLane) }
+func TestRV64IRQCorpus(t *testing.T) { testCorpus(t, RV64IRQLane) }
+func TestIRQSweep(t *testing.T)      { testSweep(t, IRQLane) }
+func TestRV64IRQSweep(t *testing.T)  { testSweep(t, RV64IRQLane) }
 
-// TestRV64IRQCorpus replays the committed RV64 interrupt-lane corpus.
-func TestRV64IRQCorpus(t *testing.T) {
-	for _, c := range RV64IRQRegressionSeeds {
-		if err := CheckRV64IRQ(c.Seed, c.Ops); err != nil {
-			t.Errorf("rv64 irq corpus seed %d (ops %d):\n%v", c.Seed, c.Ops, err)
-		}
-	}
-}
-
-// TestIRQSweep sweeps fresh seeded GA64 interrupt programs across the full
-// engine matrix: timer arming through MMIO, WFI (both the wake and the
-// idle-skip paths), enable/mask toggles and vectored deliveries, all
-// asserted bit-identical. Together with the RV64 half below, the
-// full-depth sweep covers 240 seeds.
-func TestIRQSweep(t *testing.T) {
-	n := 120
-	if testing.Short() {
-		n = 12
-	}
-	sweepShards(t, n, func(i int) error {
-		seed := int64(6_000_000 + i)
-		ops := 40 + (i%5)*30
-		if err := CheckIRQ(seed, ops); err != nil {
-			return fmt.Errorf("irq sweep seed %d (ops %d):\n%w", seed, ops, err)
-		}
-		return nil
-	})
-}
-
-// TestRV64IRQSweep is the RV64 half of the interrupt sweep: machine-timer
-// interrupts to mtvec, delegated supervisor software interrupts to stvec,
-// WFI and mask toggles in both the M- and S-mode body flavours.
-func TestRV64IRQSweep(t *testing.T) {
-	n := 120
-	if testing.Short() {
-		n = 12
-	}
-	sweepShards(t, n, func(i int) error {
-		seed := int64(7_000_000 + i)
-		ops := 40 + (i%5)*30
-		if err := CheckRV64IRQ(seed, ops); err != nil {
-			return fmt.Errorf("rv64 irq sweep seed %d (ops %d):\n%w", seed, ops, err)
-		}
-		return nil
-	})
-}
-
-// TestGenerateIRQDeterministic pins interrupt-lane generation to the seed.
 func TestGenerateIRQDeterministic(t *testing.T) {
-	a, err := GenerateIRQ(42, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateIRQ(42, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a.Image) != string(b.Image) || string(a.Handler) != string(b.Handler) {
-		t.Fatal("GenerateIRQ is not deterministic")
-	}
-	ra, err := GenerateRV64IRQ(42, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := GenerateRV64IRQ(42, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ra.Image) != string(rb.Image) {
-		t.Fatal("GenerateRV64IRQ is not deterministic")
-	}
+	testDeterministic(t, IRQLane)
+	testDeterministic(t, RV64IRQLane)
 }
 
 // --- directed cross-engine scenarios ------------------------------------------
-
-// checkDirectedGA64 runs a handcrafted GA64 program (image + handler
-// image) across the full engine matrix, requires bit-identical state
-// everywhere, and returns the golden state for scenario assertions.
-func checkDirectedGA64(t *testing.T, name string, p, h *gasm.Program) State {
-	t.Helper()
-	img, err := p.Assemble()
-	if err != nil {
-		t.Fatalf("%s: assemble: %v", name, err)
-	}
-	var himg []byte
-	if h != nil {
-		if himg, err = h.Assemble(); err != nil {
-			t.Fatalf("%s: assemble handler: %v", name, err)
-		}
-	}
-	prog := &Program{Image: img, Handler: himg}
-	golden, err := Run(prog, Golden)
-	if err != nil {
-		t.Fatalf("%s: golden: %v", name, err)
-	}
-	for _, id := range Configs() {
-		st, err := Run(prog, id)
-		if err != nil {
-			t.Fatalf("%s: %s: %v", name, id, err)
-		}
-		if !st.Equal(golden) {
-			t.Fatalf("%s: %s diverges: %s", name, id, golden.Diff(st))
-		}
-	}
-	return golden
-}
-
-// checkDirectedRV64IRQ is the RV64 analog over the interrupt runner (the
-// compared state includes mideleg/mie/mip).
-func checkDirectedRV64IRQ(t *testing.T, name string, p *asm.Program) State {
-	t.Helper()
-	img, err := p.Assemble()
-	if err != nil {
-		t.Fatalf("%s: assemble: %v", name, err)
-	}
-	prog := &Program{Image: img}
-	golden, err := RunRV64IRQ(prog, RVSysGolden)
-	if err != nil {
-		t.Fatalf("%s: golden: %v", name, err)
-	}
-	for _, id := range RV64Configs() {
-		st, err := RunRV64IRQ(prog, id)
-		if err != nil {
-			t.Fatalf("%s: %s: %v", name, id, err)
-		}
-		if !st.Equal(golden) {
-			t.Fatalf("%s: %s diverges: %s", name, id, golden.Diff(st))
-		}
-	}
-	return golden
-}
 
 // sigWord reads a 64-bit word of the GA64 signature block out of the
 // probed data window.
@@ -171,7 +45,7 @@ func TestWFIExitUnified(t *testing.T) {
 	p.Hlt(0x77) // must never be reached
 	h := gasm.New(HandlerBase)
 	h.Eret()
-	st := checkDirectedGA64(t, "ga64-wfi-halt", p, h)
+	st := checkAsm(t, GA64Lane, p, h)[0]
 	if st.ExitCode != 0 {
 		t.Fatalf("ga64 wfi halt: exit code %#x, want 0", st.ExitCode)
 	}
@@ -180,7 +54,7 @@ func TestWFIExitUnified(t *testing.T) {
 	q.Wfi()
 	q.Li(10, 0x77) // must never be reached
 	q.Ecall()
-	rst := checkDirectedRV64IRQ(t, "rv64-wfi-halt", q)
+	rst := checkAsm(t, RV64IRQLane, q, nil)[0]
 	if rst.ExitCode != 0 {
 		t.Fatalf("rv64 wfi halt: exit code %#x, want 0", rst.ExitCode)
 	}
@@ -246,7 +120,7 @@ func TestTimerEdgeCases(t *testing.T) {
 		p.BNext()                     // block boundary: the injection point
 		p.Nop()
 		p.Hlt(0)
-		st := checkDirectedGA64(t, "compare-in-past", p, gaDirectedHandler())
+		st := checkAsm(t, GA64Lane, p, gaDirectedHandler())[0]
 		if n := sigWord(st, gaSigCount); n != 1 {
 			t.Fatalf("deliveries = %d, want 1", n)
 		}
@@ -266,7 +140,7 @@ func TestTimerEdgeCases(t *testing.T) {
 		p.BNext()
 		p.Nop()
 		p.Hlt(0)
-		st := checkDirectedGA64(t, "compare-rewritten", p, gaDirectedHandler())
+		st := checkAsm(t, GA64Lane, p, gaDirectedHandler())[0]
 		if n := sigWord(st, gaSigCount); n != 1 {
 			t.Fatalf("deliveries = %d, want 1", n)
 		}
@@ -286,7 +160,7 @@ func TestTimerEdgeCases(t *testing.T) {
 		p.BNext()
 		p.Nop()
 		p.Hlt(0)
-		st := checkDirectedGA64(t, "enable-after-expiry", p, gaDirectedHandler())
+		st := checkAsm(t, GA64Lane, p, gaDirectedHandler())[0]
 		if n := sigWord(st, gaSigCount); n != 1 {
 			t.Fatalf("deliveries = %d, want 1", n)
 		}
@@ -308,7 +182,7 @@ func TestTimerEdgeCases(t *testing.T) {
 		p.BNext()
 		p.Mrs(21, ga64.SysISR) // handler advanced cmp: line dropped
 		p.Hlt(0)
-		st := checkDirectedGA64(t, "level-not-edge", p, gaDirectedHandler())
+		st := checkAsm(t, GA64Lane, p, gaDirectedHandler())[0]
 		if n := sigWord(st, gaSigCount); n != 1 {
 			t.Fatalf("deliveries = %d, want 1", n)
 		}
@@ -340,7 +214,7 @@ func TestRV64WFIIdleSkip(t *testing.T) {
 	p.Sd(10, 5, 0)
 	p.Sd(asm.X0, 30, device.TimerCtrl) // quiesce before exit
 	p.Ecall()
-	st := checkDirectedRV64IRQ(t, "rv64-wfi-idleskip", p)
+	st := checkAsm(t, RV64IRQLane, p, nil)[0]
 	warped := binary.LittleEndian.Uint64(st.Data[RVBuf0-RVProbeStart:])
 	if warped < 100000 {
 		t.Fatalf("counter after idle-skip wfi = %d, want >= 100000", warped)
@@ -381,7 +255,7 @@ func TestRV64TimerToMtvec(t *testing.T) {
 	p.Label("msync")
 	p.Csrw(rv64.CSRMtvec, asm.X0)
 	p.Ecall()
-	st := checkDirectedRV64IRQ(t, "rv64-timer-mtvec", p)
+	st := checkAsm(t, RV64IRQLane, p, nil)[0]
 	l := rv64.MustModule().Registry.Bank("X").Offset
 	x20 := binary.LittleEndian.Uint64(st.Regs[l+20*8:])
 	if x20 != rv64.CauseInterrupt|rv64.IRQMTimer {

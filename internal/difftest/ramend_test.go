@@ -56,24 +56,11 @@ func TestRAMEndCrossingGA64(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog := &Program{Seed: -1, Image: img, Handler: handler}
-			golden, err := Run(prog, Golden)
-			if err != nil {
-				t.Fatal(err)
-			}
+			golden := checkDirected(t, GA64Lane, &Program{Seed: -1, Image: img, Handler: handler})[0]
 			x := func(n int) uint64 { return leUint64(golden.Regs[regLayout().x+8*n:]) }
 			if golden.ExitCode != 7 || x(11) != tc.addr || x(4) != 0xDEAD {
 				t.Fatalf("golden: exit=%d far=%#x x4=%#x, want the abort handler's exit 7, far=%#x and x4 unchanged",
 					golden.ExitCode, x(11), x(4), tc.addr)
-			}
-			for _, id := range Configs() {
-				st, err := Run(prog, id)
-				if err != nil {
-					t.Fatalf("%s: %v", id, err)
-				}
-				if !st.Equal(golden) {
-					t.Errorf("%s diverges from golden:\n%s", id, golden.Diff(st))
-				}
 			}
 		})
 	}
@@ -113,23 +100,10 @@ func TestRAMEndCrossingRV64(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prog := &Program{Seed: -1, Image: img}
-			golden, err := RunRV64(prog, RVGolden)
-			if err != nil {
-				t.Fatal(err)
-			}
+			golden := checkDirected(t, RV64Lane, &Program{Seed: -1, Image: img})[0]
 			if r := goldenRegs(golden); r[10] != tc.cause || r[11] != tc.addr || r[14] != 0xDEAD {
 				t.Fatalf("golden: mcause=%d mtval=%#x x14=%#x, want mcause=%d mtval=%#x and x14 unchanged",
 					r[10], r[11], r[14], tc.cause, tc.addr)
-			}
-			for _, id := range RV64Configs() {
-				st, err := RunRV64(prog, id)
-				if err != nil {
-					t.Fatalf("%s: %v", id, err)
-				}
-				if !st.Equal(golden) {
-					t.Errorf("%s diverges from golden:\n%s", id, golden.Diff(st))
-				}
 			}
 		})
 	}

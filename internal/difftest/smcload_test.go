@@ -15,8 +15,10 @@ import (
 // of the write-protected code page and fills the VX64 TLB with it; the store
 // must then invalidate the page, reinstall the mapping writable *and* drop
 // that TLB entry, or it re-faults on the stale read-only entry until the
-// cycle budget runs out. Every engine must agree with the interpreter, and
-// the golden run must show both the loaded old word and the new code.
+// cycle budget runs out. Every engine must agree with the interpreter (the
+// GA64 program through the SMC lane, which also requires both DBT engines
+// to retire an SMC invalidation), and the golden run must show both the
+// loaded old word and the new code.
 
 func TestSMCLoadThenStoreGA64(t *testing.T) {
 	oldWord := ga64.EncMOVW(ga64.OpMovz, 4, 0, 1)
@@ -40,26 +42,10 @@ func TestSMCLoadThenStoreGA64(t *testing.T) {
 	if got := binary.LittleEndian.Uint32(img[p.Addr("patch")-Org:]); got != oldWord {
 		t.Fatalf("patch slot assembled as %#x, want %#x", got, oldWord)
 	}
-	prog := &Program{Seed: -1, Image: img}
-	golden, err := Run(prog, Golden)
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden := checkDirected(t, SMCLane, &Program{Seed: -1, Image: img})[0]
 	x := func(n int) uint64 { return leUint64(golden.Regs[regLayout().x+8*n:]) }
 	if x(3) != uint64(oldWord) || x(6) != 1 || x(4) != 2 {
 		t.Fatalf("golden: x3=%#x x6=%d x4=%d, want x3=%#x x6=1 x4=2", x(3), x(6), x(4), oldWord)
-	}
-	for _, id := range Configs() {
-		st, stats, err := RunStats(prog, id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if !st.Equal(golden) {
-			t.Errorf("%s diverges from golden:\n%s", id, golden.Diff(st))
-		}
-		if id.Name != "interp" && stats.SMCInvals == 0 {
-			t.Errorf("%s: no SMC invalidation retired", id)
-		}
 	}
 }
 
@@ -81,21 +67,8 @@ func TestSMCLoadThenStoreRV64(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldWord := binary.LittleEndian.Uint32(img[p.Addr("patch")-RVOrg:])
-	prog := &Program{Seed: -1, Image: img}
-	golden, err := RunRV64(prog, RVGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden := checkDirected(t, RV64Lane, &Program{Seed: -1, Image: img})[0]
 	if r := goldenRegs(golden); r[12] != uint64(int64(int32(oldWord))) || r[11] != 1 || r[10] != 2 {
 		t.Fatalf("golden: x12=%#x x11=%d x10=%d, want x12=%#x x11=1 x10=2", r[12], r[11], r[10], oldWord)
-	}
-	for _, id := range RV64Configs() {
-		st, err := RunRV64(prog, id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if !st.Equal(golden) {
-			t.Errorf("%s diverges from golden:\n%s", id, golden.Diff(st))
-		}
 	}
 }

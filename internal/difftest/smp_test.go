@@ -1,87 +1,12 @@
 package difftest
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
-// TestSMPCorpus replays the committed SMP regression-seed corpus on every
-// engine configuration. This always runs, including under -short.
-func TestSMPCorpus(t *testing.T) {
-	for _, c := range SMPRegressionSeeds {
-		c := c
-		if err := CheckSMP(c.Seed, c.Ops); err != nil {
-			t.Errorf("smp corpus seed %d (ops %d):\n%v", c.Seed, c.Ops, err)
-		}
-	}
-}
-
-// TestSMPSweep runs the two-hart differential sweep: fresh seeded programs
-// through the interpreter cluster, the Captive DBT at O1–O4 and the QEMU
-// baseline, all under the deterministic round-robin scheduler, asserting
-// bit-identical per-hart registers, retired counts and shared memory
-// windows. Under -short a subset runs.
-func TestSMPSweep(t *testing.T) {
-	n := 120
-	if testing.Short() {
-		n = 12
-	}
-	sweepShards(t, n, func(i int) error {
-		seed := int64(8_000_000 + i)
-		ops := 40 + (i%5)*30
-		if err := CheckSMP(seed, ops); err != nil {
-			return fmt.Errorf("smp sweep seed %d (ops %d):\n%w", seed, ops, err)
-		}
-		return nil
-	})
-}
-
-// TestSMPGenerateDeterministic pins generation to the seed.
-func TestSMPGenerateDeterministic(t *testing.T) {
-	a, err := GenerateRV64SMP(42, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateRV64SMP(42, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a.Image) != string(b.Image) {
-		t.Fatal("smp generation is not deterministic")
-	}
-	c, err := GenerateRV64SMP(43, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a.Image) == string(c.Image) {
-		t.Fatal("different seeds produced identical smp programs")
-	}
-}
-
-// TestSMPRunMatrixExecutes sanity-checks that each engine configuration
-// actually executes a two-hart program: both harts retire instructions and
-// exit cleanly via ecall.
-func TestSMPRunMatrixExecutes(t *testing.T) {
-	p, err := GenerateRV64SMP(7, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := append([]EngineID{RVGolden}, RV64Configs()...)
-	for _, id := range ids {
-		states, err := RunRV64SMP(p, id)
-		if err != nil {
-			t.Fatalf("smp %s: %v", id, err)
-		}
-		if len(states) != SMPHarts {
-			t.Fatalf("smp %s: %d hart states, want %d", id, len(states), SMPHarts)
-		}
-		for h, st := range states {
-			if st.Instrs == 0 {
-				t.Errorf("smp %s: hart %d retired no instructions", id, h)
-			}
-			if st.ExitCode != 0 {
-				t.Errorf("smp %s: hart %d exit code %d", id, h, st.ExitCode)
-			}
-		}
-	}
-}
+// The two-hart SMP lane: fresh seeded programs through the interpreter
+// cluster, the Captive DBT at O1–O4 and the QEMU baseline, all under the
+// deterministic round-robin scheduler, with bit-identical per-hart
+// registers, retired counts and shared memory windows.
+func TestSMPCorpus(t *testing.T)                { testCorpus(t, SMPLane) }
+func TestSMPSweep(t *testing.T)                 { testSweep(t, SMPLane) }
+func TestSMPGenerateDeterministic(t *testing.T) { testDeterministic(t, SMPLane) }
+func TestSMPRunMatrixExecutes(t *testing.T)     { testMatrixExecutes(t, SMPLane) }

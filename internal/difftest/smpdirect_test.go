@@ -45,32 +45,6 @@ func smpSpin(p *asm.Program, iters uint64) {
 	p.Bne(6, asm.X0, spin)
 }
 
-// runSMPDirected assembles and runs a directed two-hart program across the
-// full matrix, asserting bit-identical per-hart state everywhere, and
-// returns the golden per-hart states for architectural assertions.
-func runSMPDirected(t *testing.T, p *asm.Program) []State {
-	t.Helper()
-	img, err := p.Assemble()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := &Program{Seed: -1, Image: img}
-	golden, err := RunRV64SMP(prog, RVGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range RV64Configs() {
-		states, err := RunRV64SMP(prog, id)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if !smpStatesEqual(states, golden) {
-			t.Errorf("%s diverges: %s", id, smpStatesDiff(golden, states))
-		}
-	}
-	return golden
-}
-
 // xreg extracts hart h's x-register n from the golden states.
 func xreg(states []State, h, n int) uint64 {
 	var v uint64
@@ -108,7 +82,7 @@ func TestSMPWFICrossCoreWake(t *testing.T) {
 	p.Li(10, 0x57A7E1)
 	p.Ecall()
 
-	golden := runSMPDirected(t, p)
+	golden := checkAsm(t, SMPLane, p, nil)
 	if got := xreg(golden, 1, 10); got != 0x57A7E1 {
 		t.Errorf("hart 1 sentinel = %#x, want 0x57A7E1 (did not run past wfi)", got)
 	}
@@ -154,7 +128,7 @@ func TestSMPCrossHartSMCShootdown(t *testing.T) {
 	p.Addi(10, 10, 1)
 	p.Ret()
 
-	golden := runSMPDirected(t, p)
+	golden := checkAsm(t, SMPLane, p, nil)
 	acc := xreg(golden, 1, 10)
 	if acc <= iters || acc >= 2*iters {
 		t.Errorf("hart 1 accumulator = %d, want strictly between %d and %d "+
@@ -260,7 +234,7 @@ func TestSMPSfenceVMAIPIShootdown(t *testing.T) {
 	p.Csrw(rv64.CSRMtvec, asm.X0) // no vector: the next ecall halts
 	p.Ecall()
 
-	golden := runSMPDirected(t, p)
+	golden := checkAsm(t, SMPLane, p, nil)
 	if got := xreg(golden, 1, 10); got != sentinelA {
 		t.Errorf("hart 1 pre-shootdown load = %#x, want %#x", got, uint64(sentinelA))
 	}

@@ -2,33 +2,11 @@ package difftest
 
 import "testing"
 
-// TestTraceCorpus replays the committed user-level regression corpus with a
-// trace recorder attached to every engine, asserting the comparable event
-// streams (block entries, interrupt deliveries, guest exceptions) are
-// identical across the full matrix and that tracing never perturbs final
-// state. Under -short a quarter of the seeds run.
-func TestTraceCorpus(t *testing.T) {
-	for i, c := range RegressionSeeds {
-		if testing.Short() && i%4 != 0 {
-			continue
-		}
-		if err := CheckTrace(c.Seed, c.Ops, Generate); err != nil {
-			t.Errorf("trace corpus seed %d (ops %d):\n%v", c.Seed, c.Ops, err)
-		}
-	}
-}
-
-// TestTraceIRQCorpus replays the committed interrupt-lane corpus through the
-// trace lane: interrupt deliveries and WFI-heavy programs are where event
-// ordering is most at risk (injection boundaries, idle-skip, vectoring), so
-// the IRQ corpus is the sharpest probe of stream equality.
-func TestTraceIRQCorpus(t *testing.T) {
-	for i, c := range IRQRegressionSeeds {
-		if testing.Short() && i%4 != 0 {
-			continue
-		}
-		if err := CheckTrace(c.Seed, c.Ops, GenerateIRQ); err != nil {
-			t.Errorf("trace irq corpus seed %d (ops %d):\n%v", c.Seed, c.Ops, err)
-		}
-	}
-}
+// The trace lane: the user and interrupt corpora replayed with a recorder
+// attached to every engine, asserting identical comparable event streams
+// (block entries, interrupt deliveries, guest exceptions) across the matrix
+// and that tracing never perturbs final state. Interrupt deliveries and
+// WFI are where event ordering is most at risk (injection boundaries,
+// idle-skip, vectoring). Under -short a quarter of each corpus runs.
+func TestTraceCorpus(t *testing.T)    { testCorpus(t, GA64Lane.Traced()) }
+func TestTraceIRQCorpus(t *testing.T) { testCorpus(t, IRQLane.Traced()) }

@@ -135,27 +135,35 @@ type VM struct {
 	Layout Layout
 }
 
-// New creates a host VM.
-func New(cfg Config) (*VM, error) {
+// Validate reports whether cfg describes a buildable machine. It is the one
+// sizing rule for every engine: the reference interpreter allocates only the
+// guest RAM, but a configuration is valid or not independently of the
+// engine that runs it.
+func (cfg Config) Validate() error {
 	if cfg.GuestRAMBytes <= 0 || cfg.GuestRAMBytes > 256<<20 {
-		return nil, fmt.Errorf("hvm: guest RAM must be in (0, 256 MiB], got %d", cfg.GuestRAMBytes)
+		return fmt.Errorf("hvm: guest RAM must be in (0, 256 MiB], got %d", cfg.GuestRAMBytes)
+	}
+	if uint64(cfg.GuestRAMBytes) > uint64(ga64.DeviceBase) {
+		return fmt.Errorf("hvm: guest RAM overlaps the MMIO window")
 	}
 	if cfg.CodeCacheBytes < 1<<20 || cfg.PTPoolBytes < 1<<20 {
-		return nil, fmt.Errorf("hvm: code cache and PT pool must be at least 1 MiB")
+		return fmt.Errorf("hvm: code cache and PT pool must be at least 1 MiB")
 	}
-	n := cfg.VCPUs
-	if n <= 0 {
-		n = 1
+	if cfg.VCPUs > 8 {
+		return fmt.Errorf("hvm: at most 8 vCPUs, got %d", cfg.VCPUs)
 	}
-	if n > 8 {
-		return nil, fmt.Errorf("hvm: at most 8 vCPUs, got %d", n)
+	return nil
+}
+
+// New creates a host VM.
+func New(cfg Config) (*VM, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
+	n := max(cfg.VCPUs, 1)
 	var l Layout
 	l.GuestRAMSize = uint64(cfg.GuestRAMBytes)
 	l.CaptiveBase = uint64(ga64.DeviceBase) + uint64(ga64.DeviceSize)
-	if l.GuestRAMSize > uint64(ga64.DeviceBase) {
-		return nil, fmt.Errorf("hvm: guest RAM overlaps the MMIO window")
-	}
 	l.VCPUs = n
 	l.StatePA = l.StatePAOf(0)
 	l.RegFilePA = l.RegFilePAOf(0)
@@ -205,9 +213,13 @@ func (vm *VM) GuestPhysRead64(gpa uint64) (uint64, bool) {
 	return vm.Mem.R64(gpa), true
 }
 
+// InRAM reports whether the n bytes at pa lie inside a RAM of size bytes,
+// without the wrap-around that pa+n > size suffers near 2^64.
+func InRAM(pa, n, size uint64) bool { return pa <= size && n <= size-pa }
+
 // LoadGuestImage copies a guest kernel image into guest DRAM.
 func (vm *VM) LoadGuestImage(data []byte, gpa uint64) error {
-	if gpa+uint64(len(data)) > vm.Layout.GuestRAMSize {
+	if !InRAM(gpa, uint64(len(data)), vm.Layout.GuestRAMSize) {
 		return fmt.Errorf("hvm: image of %d bytes at %#x exceeds guest RAM", len(data), gpa)
 	}
 	copy(vm.Mem.Bytes(gpa, uint64(len(data))), data)

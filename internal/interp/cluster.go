@@ -61,19 +61,6 @@ func (cl *Cluster) virtualTime() uint64 {
 	return vt
 }
 
-// Console returns the guest's UART output (the shared bus).
-func (cl *Cluster) Console() string { return cl.bus.Console() }
-
-// Halted reports whether every hart has halted.
-func (cl *Cluster) Halted() bool {
-	for _, m := range cl.Machines {
-		if !m.Halted {
-			return false
-		}
-	}
-	return true
-}
-
 // RunDet drives the cluster to completion under the deterministic
 // round-robin scheduler with the given instruction quantum. limit bounds
 // total interpreter steps across all harts, like Machine.Run's step limit.

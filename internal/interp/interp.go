@@ -172,16 +172,6 @@ func (m *Machine) Metrics() metrics.Snapshot {
 	}
 }
 
-// NewAt builds the guest module at the given offline optimization level and
-// creates a machine around it.
-func NewAt(g port.Port, level ssa.OptLevel, ramBytes int) (*Machine, error) {
-	module, err := g.Module(level)
-	if err != nil {
-		return nil, err
-	}
-	return New(g, module, ramBytes), nil
-}
-
 // Sys exposes the guest system state. Guest packages provide unwrappers for
 // their concrete state (e.g. ga64.RawSys, rv64.RawSys).
 func (m *Machine) Sys() port.Sys { return m.sys }
@@ -189,12 +179,36 @@ func (m *Machine) Sys() port.Sys { return m.sys }
 // LoadImage copies a program image into guest physical memory and points
 // the PC at its entry.
 func (m *Machine) LoadImage(data []byte, loadPA, entry uint64) error {
-	if loadPA+uint64(len(data)) > uint64(len(m.Mem)) {
-		return fmt.Errorf("interp: image of %d bytes at %#x exceeds %d bytes of RAM", len(data), loadPA, len(m.Mem))
+	if err := m.LoadData(data, loadPA); err != nil {
+		return err
 	}
-	copy(m.Mem[loadPA:], data)
 	m.SetPC(entry)
 	return nil
+}
+
+// LoadData copies bytes into guest physical memory without moving the PC.
+func (m *Machine) LoadData(data []byte, pa uint64) error {
+	if !m.inRAM(pa, uint64(len(data))) {
+		return fmt.Errorf("interp: %d bytes at %#x exceed %d bytes of RAM", len(data), pa, len(m.Mem))
+	}
+	copy(m.Mem[pa:], data)
+	return nil
+}
+
+// ReadRAM copies len(dst) bytes of guest physical memory starting at pa.
+func (m *Machine) ReadRAM(pa uint64, dst []byte) error {
+	if !m.inRAM(pa, uint64(len(dst))) {
+		return fmt.Errorf("interp: ReadRAM [%#x, +%#x) exceeds guest RAM", pa, len(dst))
+	}
+	copy(dst, m.Mem[pa:])
+	return nil
+}
+
+// inRAM reports whether the n bytes at pa lie inside guest RAM, without the
+// wrap-around that pa+n suffers near 2^64.
+func (m *Machine) inRAM(pa, n uint64) bool {
+	size := uint64(len(m.Mem))
+	return pa <= size && n <= size-pa
 }
 
 // Reg returns GPR n.
