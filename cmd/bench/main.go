@@ -14,19 +14,19 @@
 //	bench -sec 3.6.1   # offline optimization levels
 //	bench -sec 3.6.2   # hardware vs software floating point
 //
-// The guest-MIPS harness measures host wall-clock throughput (the axis
-// perf PRs optimize; everything above reports simulated time, the axis
-// perf PRs must not move) and writes a JSON report:
+// The figures report simulated time, the model; only Fig. 20's JIT phase
+// shares and Sec. 3.4's host-ns-per-block are host wall-clock. The model
+// report runs the engine x guest x workload matrix once and records each
+// row's model values (guest instructions, simulated deci-cycles, checksum)
+// as JSON; against a baseline report it is the model gate:
 //
-//	bench -json BENCH_5.json                   # full engine x guest x workload matrix
-//	bench -json out.json -mips-short           # CI smoke subset
-//	bench -json out.json -baseline before.json # attach baseline, compute speedups,
-//	                                           # fail if the sim-cycle model moved
+//	bench -json out.json                       # full matrix
+//	bench -json out.json -short                # CI subset
+//	bench -json out.json -baseline before.json # fail if any row's model moved
 //
-// Each report row carries a "metrics" section (the unified
-// metrics.Snapshot for that engine/guest/workload cell). The baseline
-// gate never reads it: wall-clock-derived fields may vary run to run,
-// only the simulated model is held bit-identical.
+// Each report row also carries hart 0's metrics.Snapshot, which the gate
+// never reads. Host wall-clock throughput is perfbench's to measure
+// (perfbench/README.md): it repeats its runs, and this command times none.
 package main
 
 import (
@@ -42,31 +42,30 @@ func main() {
 	fig := flag.Int("fig", 0, "figure number to regenerate (17, 18, 19, 20, 21, 22)")
 	table := flag.Int("table", 0, "table number to regenerate (2, 5)")
 	sec := flag.String("sec", "", "section to regenerate (3.4, 3.6.1, 3.6.2)")
-	jsonPath := flag.String("json", "", "run the guest-MIPS wall-clock harness and write the report to this path")
-	baseline := flag.String("baseline", "", "baseline guest-MIPS report to compute speedups against (requires -json)")
-	mipsShort := flag.Bool("mips-short", false, "guest-MIPS harness: short workload subset (CI smoke)")
+	jsonPath := flag.String("json", "", "run the model report and write it to this path")
+	baseline := flag.String("baseline", "", "baseline model report whose rows the new report must match (requires -json)")
+	short := flag.Bool("short", false, "model report: the short row subset (CI gate)")
 	flag.Parse()
 
-	opt := bench.Options{}
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
 
-	if *jsonPath == "" && (*baseline != "" || *mipsShort) {
-		fail(fmt.Errorf("-baseline and -mips-short select guest-MIPS harness options and require -json"))
+	if *jsonPath == "" && (*baseline != "" || *short) {
+		fail(fmt.Errorf("-baseline and -short select model report options and require -json"))
 	}
 	if *jsonPath != "" {
-		rep, err := bench.GuestMIPS(*mipsShort)
+		rep, err := bench.RunModel(*short)
 		if err != nil {
 			fail(err)
 		}
 		if *baseline != "" {
-			base, err := bench.ReadMIPSReport(*baseline)
+			base, err := bench.ReadModelReport(*baseline)
 			if err != nil {
 				fail(err)
 			}
-			if err := rep.MergeBaseline(base); err != nil {
+			if err := rep.CheckBaseline(base); err != nil {
 				fail(err)
 			}
 		}
@@ -86,7 +85,7 @@ func main() {
 	}
 
 	if all || *fig == 17 {
-		abs, spd, err := bench.Fig17(opt)
+		abs, spd, err := bench.Fig17()
 		if err != nil {
 			fail(err)
 		}
@@ -94,13 +93,13 @@ func main() {
 		fmt.Println(spd.String())
 	}
 	if all || *fig == 18 {
-		show(bench.Fig18(opt))
+		show(bench.Fig18())
 	}
 	if all || *fig == 19 {
-		show(bench.Fig19(opt))
+		show(bench.Fig19())
 	}
 	if all || *fig == 20 {
-		show(bench.Fig20(opt))
+		show(bench.Fig20())
 	}
 	if all || *fig == 21 {
 		r, err := bench.Fig21()
@@ -110,13 +109,13 @@ func main() {
 		fmt.Println(r.Table.String())
 	}
 	if all || *fig == 22 {
-		show(bench.Fig22(opt))
+		show(bench.Fig22())
 	}
 	if all || *table == 2 {
 		show(bench.Table2())
 	}
 	if all || *table == 5 {
-		show(bench.Table5(opt))
+		show(bench.Table5())
 	}
 	if all || *sec == "3.4" {
 		show(bench.Sec34())

@@ -25,7 +25,7 @@ func TestMiniOSBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []EngineKind{EngineCaptive, EngineQEMU, EngineInterp} {
-		res, err := RunImage(kind, img, "boot", Options{})
+		res, err := RunImage(kind, img, "boot")
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -80,7 +80,7 @@ func TestPreemptiveScheduler(t *testing.T) {
 	}
 	var ref Result
 	for i, kind := range []EngineKind{EngineInterp, EngineCaptive, EngineQEMU} {
-		res, err := RunImage(kind, img, "preempt", Options{})
+		res, err := RunImage(kind, img, "preempt")
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -108,7 +108,7 @@ func TestPreemptiveScheduler(t *testing.T) {
 // on both DBT engines through rv64.Port with identical checksums and
 // instruction counts, and Captive comes out ahead of the baseline overall.
 func TestTable5Retarget(t *testing.T) {
-	tab, err := Table5(Options{})
+	tab, err := Table5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestWorkloadsAgreeAcrossEngines(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
-			c, q, err := Compare(w, Options{})
+			c, q, err := Compare(w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,7 +141,7 @@ func TestWorkloadsAgreeAcrossEngines(t *testing.T) {
 				t.Fatalf("no instructions retired: %d / %d", c.GuestInstrs, q.GuestInstrs)
 			}
 			t.Logf("%s: captive %.3fs (%d Minst), qemu %.3fs, speedup %.2fx, chk %#x",
-				w.Name, c.Seconds, c.GuestInstrs/1e6, q.Seconds, q.Seconds/c.Seconds, c.Checksum)
+				w.Name, c.Seconds(), c.GuestInstrs/1e6, q.Seconds(), q.Seconds()/c.Seconds(), c.Checksum)
 		})
 	}
 }
@@ -155,11 +155,11 @@ func TestSimBenchRuns(t *testing.T) {
 		m := m
 		t.Run(m.Name, func(t *testing.T) {
 			t.Parallel()
-			c, err := RunMicro(EngineCaptive, m, Options{})
+			c, err := RunMicro(EngineCaptive, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			q, err := RunMicro(EngineQEMU, m, Options{})
+			q, err := RunMicro(EngineQEMU, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,7 +167,7 @@ func TestSimBenchRuns(t *testing.T) {
 				t.Fatalf("benchmark trapped: captive exit %#x, qemu exit %#x", c.ExitCode, q.ExitCode)
 			}
 			t.Logf("%s: captive %.4fs, qemu %.4fs, speedup %.2fx",
-				m.Name, c.Seconds, q.Seconds, q.Seconds/c.Seconds)
+				m.Name, c.Seconds(), q.Seconds(), q.Seconds()/c.Seconds())
 		})
 	}
 }
@@ -183,11 +183,11 @@ func TestWorkloadInterpSpotCheck(t *testing.T) {
 		if !ok {
 			t.Fatal("missing workload")
 		}
-		ci, err := RunWorkload(EngineCaptive, w, Options{})
+		ci, err := RunWorkload(EngineCaptive, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ii, err := RunWorkload(EngineInterp, w, Options{})
+		ii, err := RunWorkload(EngineInterp, w)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ import (
 // Fig17 reproduces Fig. 17: SPEC CPU2006 integer runtimes for Captive and
 // the QEMU baseline (a), and the per-benchmark speedup with geometric mean
 // (b).
-func Fig17(opt Options) (absolute, speedup perf.Table, err error) {
+func Fig17() (absolute, speedup perf.Table, err error) {
 	absolute = perf.Table{
 		Title:   "Fig 17a: SPECint absolute runtime (simulated seconds; lower is better)",
 		Columns: []string{"qemu(s)", "captive(s)"},
@@ -34,12 +34,12 @@ func Fig17(opt Options) (absolute, speedup perf.Table, err error) {
 	}
 	var ratios []float64
 	for _, w := range Integer() {
-		c, q, cerr := Compare(w, opt)
+		c, q, cerr := Compare(w)
 		if cerr != nil {
 			return absolute, speedup, cerr
 		}
-		absolute.Add(w.Name, q.Seconds, c.Seconds)
-		s := perf.Speedup(q.Seconds, c.Seconds)
+		absolute.Add(w.Name, q.Seconds(), c.Seconds())
+		s := perf.Speedup(q.Seconds(), c.Seconds())
 		speedup.Add(w.Name, s)
 		ratios = append(ratios, s)
 	}
@@ -50,18 +50,18 @@ func Fig17(opt Options) (absolute, speedup perf.Table, err error) {
 }
 
 // Fig18 reproduces Fig. 18: SPECfp speedups.
-func Fig18(opt Options) (perf.Table, error) {
+func Fig18() (perf.Table, error) {
 	t := perf.Table{
 		Title:   "Fig 18: SPECfp speed-up of Captive over QEMU (higher is better)",
 		Columns: []string{"speedup"},
 	}
 	var ratios []float64
 	for _, w := range Float() {
-		c, q, err := Compare(w, opt)
+		c, q, err := Compare(w)
 		if err != nil {
 			return t, err
 		}
-		s := perf.Speedup(q.Seconds, c.Seconds)
+		s := perf.Speedup(q.Seconds(), c.Seconds())
 		t.Add(w.Name, s)
 		ratios = append(ratios, s)
 	}
@@ -71,21 +71,21 @@ func Fig18(opt Options) (perf.Table, error) {
 }
 
 // Fig19 reproduces Fig. 19: SimBench micro-benchmark speedups.
-func Fig19(opt Options) (perf.Table, error) {
+func Fig19() (perf.Table, error) {
 	t := perf.Table{
 		Title:   "Fig 19: SimBench speed-up of Captive over QEMU",
 		Columns: []string{"speedup"},
 	}
 	for _, m := range SimBench() {
-		c, err := RunMicro(EngineCaptive, m, opt)
+		c, err := RunMicro(EngineCaptive, m)
 		if err != nil {
 			return t, fmt.Errorf("%s: %w", m.Name, err)
 		}
-		q, err := RunMicro(EngineQEMU, m, opt)
+		q, err := RunMicro(EngineQEMU, m)
 		if err != nil {
 			return t, fmt.Errorf("%s: %w", m.Name, err)
 		}
-		t.Add(m.Name, perf.Speedup(q.Seconds, c.Seconds))
+		t.Add(m.Name, perf.Speedup(q.Seconds(), c.Seconds()))
 	}
 	t.Notes = append(t.Notes,
 		"paper: Captive wins everywhere except Small/Large-Blocks (code generation) and Data-Fault")
@@ -94,14 +94,14 @@ func Fig19(opt Options) (perf.Table, error) {
 
 // Fig20 reproduces Fig. 20: the share of JIT compilation time per phase,
 // measured over the translation work of the full SPECint suite.
-func Fig20(opt Options) (perf.Table, error) {
+func Fig20() (perf.Table, error) {
 	t := perf.Table{
 		Title:   "Fig 20: % of JIT compilation time per phase (Captive)",
 		Columns: []string{"percent"},
 	}
 	var dec, tra, reg, enc time.Duration
 	for _, w := range Integer() {
-		r, err := RunWorkload(EngineCaptive, w, opt)
+		r, err := RunWorkload(EngineCaptive, w)
 		if err != nil {
 			return t, err
 		}
@@ -158,42 +158,25 @@ func Fig21() (Fig21Result, error) {
 }
 
 func fig21Points(name string) (xs, ys []float64, err error) {
-	opt := Options{ChainingOff: true}
 	w, _ := ByName(name)
 	img, err := BuildSystemImage(w.Build())
 	if err != nil {
 		return nil, nil, err
 	}
-
 	// The hot-block profile is always on (PROFCNT arena counters), so no
-	// profiling switch is needed; the chaining-off methodology is kept only
-	// because it is what the paper's Fig. 21 scatter measures.
-	run := func(kind EngineKind) (map[uint64]uint64, map[uint64]uint64, error) {
-		m, err := machine.New(spec(kind, ga64.Port{}, opt))
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := loadImage(m, img); err != nil {
-			return nil, nil, err
-		}
-		if err := m.Run(interpSteps, opt.budget()); err != nil {
-			return nil, nil, err
-		}
-		cycles := make(map[uint64]uint64)
-		runs := make(map[uint64]uint64)
-		for _, bp := range m.Profile() {
-			cycles[bp.PC] = bp.Cycles
-			runs[bp.PC] = bp.Runs
-		}
-		return cycles, runs, nil
-	}
-	cap, capRuns, err := run(EngineCaptive)
+	// profiling switch is needed; chaining is off because that is what the
+	// paper's Fig. 21 scatter measures.
+	c, err := run(EngineCaptive, ga64.Port{}, img, name, 0, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	qemu, _, err := run(EngineQEMU)
+	q, err := run(EngineQEMU, ga64.Port{}, img, name, 0, true)
 	if err != nil {
 		return nil, nil, err
+	}
+	qemu := make(map[uint64]uint64, len(q.Profile))
+	for _, bp := range q.Profile {
+		qemu[bp.PC] = bp.Cycles
 	}
 	// The paper's scatter accumulates thousands of steady-state blocks;
 	// with our small kernel image, boot blocks executed once or twice
@@ -202,9 +185,9 @@ func fig21Points(name string) (xs, ys []float64, err error) {
 	// count, like the paper's accumulated-time methodology does
 	// implicitly.
 	const minRuns = 8
-	for pc, cc := range cap {
-		if qc, ok := qemu[pc]; ok && cc > 0 && qc > 0 && capRuns[pc] >= minRuns {
-			xs = append(xs, float64(cc))
+	for _, bp := range c.Profile {
+		if qc, ok := qemu[bp.PC]; ok && bp.Cycles > 0 && qc > 0 && bp.Runs >= minRuns {
+			xs = append(xs, float64(bp.Cycles))
 			ys = append(ys, float64(qc))
 		}
 	}
@@ -222,19 +205,19 @@ const (
 
 // Fig22 reproduces Fig. 22: Captive and QEMU against native ARMv8 platforms,
 // as speedups relative to QEMU across the SPECint suite.
-func Fig22(opt Options) (perf.Table, error) {
+func Fig22() (perf.Table, error) {
 	t := perf.Table{
 		Title:   "Fig 22: speed-up relative to QEMU (SPECint aggregate)",
 		Columns: []string{"speedup"},
 	}
 	var qemuS, capS, instrs float64
 	for _, w := range Integer() {
-		c, q, err := Compare(w, opt)
+		c, q, err := Compare(w)
 		if err != nil {
 			return t, err
 		}
-		qemuS += q.Seconds
-		capS += c.Seconds
+		qemuS += q.Seconds()
+		capS += c.Seconds()
 		instrs += float64(c.GuestInstrs)
 	}
 	rpi := instrs * a53CPI / a53Hz
@@ -281,7 +264,7 @@ func Table2() (perf.Table, error) {
 	if err != nil {
 		return t, err
 	}
-	m, err := machine.New(spec(EngineCaptive, ga64.Port{}, Options{}))
+	m, err := machine.New(spec(EngineCaptive, ga64.Port{}))
 	if err != nil {
 		return t, err
 	}
@@ -315,11 +298,11 @@ func Sec34() (perf.Table, error) {
 		Columns: []string{"captive", "qemu"},
 	}
 	w, _ := ByName("429.mcf")
-	c, err := RunWorkload(EngineCaptive, w, Options{})
+	c, err := RunWorkload(EngineCaptive, w)
 	if err != nil {
 		return t, err
 	}
-	q, err := RunWorkload(EngineQEMU, w, Options{})
+	q, err := RunWorkload(EngineQEMU, w)
 	if err != nil {
 		return t, err
 	}
@@ -351,11 +334,7 @@ func Sec361() (perf.Table, error) {
 		if err != nil {
 			return t, err
 		}
-		reg := ssa.NewRegistry()
-		reg.AddBank(file.Bank("X"), "gpr")
-		reg.AddBank(file.Bank("VL"), "vl")
-		reg.AddBank(file.Bank("VH"), "vh")
-		reg.AddBank(file.Bank("NZCV"), "flags")
+		reg := ga64.NewRegistry(file)
 		total := 0
 		for _, instr := range file.Instrs {
 			a, err := ssa.Build(file, instr, reg)
@@ -421,15 +400,15 @@ func Sec362() (perf.Table, error) {
 	if err != nil {
 		return t, err
 	}
-	hw, err := RunImage(EngineCaptive, img, "fpmicro", Options{})
+	hw, err := RunImage(EngineCaptive, img, "fpmicro")
 	if err != nil {
 		return t, err
 	}
-	sw, err := RunImage(EngineCaptiveSoftFP, img, "fpmicro", Options{})
+	sw, err := RunImage(EngineCaptiveSoftFP, img, "fpmicro")
 	if err != nil {
 		return t, err
 	}
-	qm, err := RunImage(EngineQEMU, img, "fpmicro", Options{})
+	qm, err := RunImage(EngineQEMU, img, "fpmicro")
 	if err != nil {
 		return t, err
 	}
@@ -437,12 +416,12 @@ func Sec362() (perf.Table, error) {
 		return t, fmt.Errorf("sec362: FP results disagree: %#x %#x %#x",
 			hw.Checksum, sw.Checksum, qm.Checksum)
 	}
-	t.Add("captive-hardfp", hw.Seconds, qm.Seconds/hw.Seconds)
-	t.Add("captive-softfp", sw.Seconds, qm.Seconds/sw.Seconds)
-	t.Add("qemu-softfp", qm.Seconds, 1.0)
+	t.Add("captive-hardfp", hw.Seconds(), qm.Seconds()/hw.Seconds())
+	t.Add("captive-softfp", sw.Seconds(), qm.Seconds()/sw.Seconds())
+	t.Add("qemu-softfp", qm.Seconds(), 1.0)
 	t.Notes = append(t.Notes,
 		"paper: hard-FP Captive 2.17x over QEMU; soft-FP Captive 1.68x; 1.3x within Captive",
-		fmt.Sprintf("measured within-captive hardware-FP gain: %.2fx", sw.Seconds/hw.Seconds))
+		fmt.Sprintf("measured within-captive hardware-FP gain: %.2fx", sw.Seconds()/hw.Seconds()))
 	return t, nil
 }
 
@@ -453,12 +432,7 @@ func BuildFreshModule(level ssa.OptLevel) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	reg := ssa.NewRegistry()
-	reg.AddBank(file.Bank("X"), "gpr")
-	reg.AddBank(file.Bank("VL"), "vl")
-	reg.AddBank(file.Bank("VH"), "vh")
-	reg.AddBank(file.Bank("NZCV"), "flags")
-	module, err := gen.Build(file, reg, level)
+	module, err := gen.Build(file, ga64.NewRegistry(file), level)
 	if err != nil {
 		return 0, err
 	}

@@ -2,8 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
+	"captive/internal/core"
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/port"
 	"captive/internal/hvm"
@@ -36,52 +36,48 @@ func (k EngineKind) String() string {
 	}
 }
 
-// Result is the outcome of one workload run.
+// Result is the outcome of one harness run on the simulated-time axis: the
+// counts are summed over every hart, and hart 0 supplies the metrics,
+// profile and console.
 type Result struct {
-	Workload    string
-	Engine      EngineKind
-	Cycles      uint64 // deci-cycles of simulated host time
-	GuestInstrs uint64
-	Seconds     float64 // simulated wall-clock (cycles @ 3.5 GHz)
-	Checksum    uint64  // guest X1 at exit (cross-engine validation)
-	ExitCode    uint64
-	Wall        time.Duration    // real time spent simulating
-	Metrics     metrics.Snapshot // the engine's counters and JIT statistics
-	Console     string
+	Workload      string
+	Guest         string // the port's architecture: ga64 or rv64
+	Engine        EngineKind
+	GuestInstrs   uint64
+	SimDeciCycles uint64 // simulated host clock (0 for the interpreter)
+	Checksum      uint64 // the checksum register, XORed over harts
+	ExitCode      uint64
+	Metrics       metrics.Snapshot
+	Profile       []core.BlockProfile // hottest first; nil for the interpreter
+	Console       string
 }
 
-// Options tunes a harness run.
-type Options struct {
-	ChainingOff bool
-	RAMBytes    int
-	Budget      uint64 // deci-cycles; 0 = default
-}
+// Seconds is the run's simulated wall-clock time (deci-cycles @ 3.5 GHz).
+func (r Result) Seconds() float64 { return perf.Seconds(r.SimDeciCycles) }
 
-func (o Options) ram() int {
-	if o.RAMBytes == 0 {
-		return 64 << 20
-	}
-	return o.RAMBytes
-}
+// Key identifies the run's engine, guest and workload.
+func (r Result) Key() string { return r.Engine.String() + "/" + r.Guest + "/" + r.Workload }
 
-func (o Options) budget() uint64 {
-	if o.Budget == 0 {
-		return 600_000_000_000 // 60 simulated seconds
-	}
-	return o.Budget
-}
+// Harness machine bounds: 64 MiB of guest RAM, 60 simulated seconds of DBT
+// budget, and a step bound for the reference interpreter, which has no
+// host-cycle model.
+const (
+	ramBytes    = 64 << 20
+	budget      = 600_000_000_000
+	interpSteps = 2_000_000_000
+)
 
-// interpSteps bounds the reference interpreter's runs (steps, not
-// simulated cycles: it has no host-cycle model).
-const interpSteps = 2_000_000_000
+// checksumReg is the register the bench workloads of each guest leave
+// their checksum in.
+var checksumReg = map[string]int{"ga64": 1, "rv64": 11}
 
 // spec describes the machine a harness run of kind builds for guest g: a
-// host VM with a 32 MiB code cache and a 4 MiB page-table pool around
-// opt's guest RAM.
-func spec(kind EngineKind, g port.Port, opt Options) machine.Spec {
+// host VM with a 32 MiB code cache and a 4 MiB page-table pool around the
+// guest RAM.
+func spec(kind EngineKind, g port.Port) machine.Spec {
 	s := machine.Spec{
-		Config: hvm.Config{GuestRAMBytes: opt.ram(), CodeCacheBytes: 32 << 20, PTPoolBytes: 4 << 20},
-		Port:   g, Engine: kind.String(), NoChain: opt.ChainingOff,
+		Config: hvm.Config{GuestRAMBytes: ramBytes, CodeCacheBytes: 32 << 20, PTPoolBytes: 4 << 20},
+		Port:   g, Engine: kind.String(),
 	}
 	if kind == EngineCaptiveSoftFP {
 		s.Engine, s.SoftFP = "captive", true
@@ -89,74 +85,85 @@ func spec(kind EngineKind, g port.Port, opt Options) machine.Spec {
 	return s
 }
 
-// loadImage loads a GA64 bench image: the kernel entered at img.Entry and
-// the user programs beside it (an absent one is an empty, no-op load).
-func loadImage(m *machine.Machine, img Image) error {
-	err := m.Load(img.Kernel, KernelBase, img.Entry)
+// run is the harness's one build-load-run path: it builds the machine of
+// kind for guest g, with parallel truly parallel vCPUs when parallel > 0
+// and block chaining off when noChain, loads img, runs it to halt and
+// collects the Result. An RV64 guest must exit cleanly: its exit code is
+// non-zero only when an exception halted the machine.
+func run(kind EngineKind, g port.Port, img Image, name string, parallel int, noChain bool) (Result, error) {
+	res := Result{Workload: name, Guest: g.Arch(), Engine: kind}
+	sp := spec(kind, g)
+	sp.NoChain = noChain
+	if parallel > 0 {
+		sp.VCPUs, sp.Parallel = parallel, true
+	}
+	m, err := machine.New(sp)
+	if err == nil {
+		err = m.Load(img.Kernel, KernelBase, img.Entry)
+	}
 	if err == nil {
 		err = m.LoadData(img.User, img.UserPA)
 	}
 	if err == nil {
 		err = m.LoadData(img.User2, img.User2PA)
 	}
-	return err
-}
-
-// RunImage executes a guest image on the chosen engine.
-func RunImage(kind EngineKind, img Image, name string, opt Options) (Result, error) {
-	res := Result{Workload: name, Engine: kind}
-	start := time.Now()
-	m, err := machine.New(spec(kind, ga64.Port{}, opt))
 	if err != nil {
 		return res, err
 	}
-	if err := loadImage(m, img); err != nil {
-		return res, err
-	}
 	h := m.Hart(0)
-	if err := m.Run(interpSteps, opt.budget()); err != nil {
-		return res, fmt.Errorf("bench %s/%s: %w (pc=%#x)", name, kind, err, h.PC())
+	if err := m.Run(interpSteps, budget); err != nil {
+		return res, fmt.Errorf("bench %s: %w (pc=%#x)", res.Key(), err, h.PC())
 	}
 	if !m.Halted() {
-		return res, fmt.Errorf("bench %s/%s: did not halt", name, kind)
+		return res, fmt.Errorf("bench %s: did not halt", res.Key())
+	}
+	for i := 0; i < m.Harts(); i++ {
+		hi := m.Hart(i)
+		res.GuestInstrs += hi.GuestInstrs()
+		res.SimDeciCycles += hi.Metrics().SimDeciCycles
+		res.Checksum ^= hi.Reg(checksumReg[res.Guest])
+	}
+	_, res.ExitCode = h.Halted()
+	if res.Guest == "rv64" && res.ExitCode != 0 {
+		return res, fmt.Errorf("bench %s: exit code %#x", res.Key(), res.ExitCode)
 	}
 	res.Metrics = h.Metrics()
-	res.Cycles = res.Metrics.SimDeciCycles
-	res.Seconds = perf.Seconds(res.Cycles)
-	res.GuestInstrs = h.GuestInstrs()
-	res.Checksum = h.Reg(1)
-	_, res.ExitCode = h.Halted()
-	res.Wall = time.Since(start)
+	res.Profile = m.Profile()
 	res.Console = m.Console()
 	return res, nil
 }
 
+// RunImage executes a GA64 guest image on the chosen engine.
+func RunImage(kind EngineKind, img Image, name string) (Result, error) {
+	return run(kind, ga64.Port{}, img, name, 0, false)
+}
+
 // RunWorkload builds and executes a SPEC-shaped workload under the mini-OS.
-func RunWorkload(kind EngineKind, w Workload, opt Options) (Result, error) {
+func RunWorkload(kind EngineKind, w Workload) (Result, error) {
 	img, err := BuildSystemImage(w.Build())
 	if err != nil {
 		return Result{}, err
 	}
-	return RunImage(kind, img, w.Name, opt)
+	return RunImage(kind, img, w.Name)
 }
 
 // RunMicro builds and executes a SimBench micro-benchmark (bare metal).
-func RunMicro(kind EngineKind, m Micro, opt Options) (Result, error) {
+func RunMicro(kind EngineKind, m Micro) (Result, error) {
 	img, err := BareMetal(m.Build())
 	if err != nil {
 		return Result{}, err
 	}
-	return RunImage(kind, img, m.Name, opt)
+	return RunImage(kind, img, m.Name)
 }
 
 // Compare runs a workload on Captive and the QEMU baseline, validates the
 // checksums agree, and returns both results.
-func Compare(w Workload, opt Options) (captive, qemu Result, err error) {
-	captive, err = RunWorkload(EngineCaptive, w, opt)
+func Compare(w Workload) (captive, qemu Result, err error) {
+	captive, err = RunWorkload(EngineCaptive, w)
 	if err != nil {
 		return
 	}
-	qemu, err = RunWorkload(EngineQEMU, w, opt)
+	qemu, err = RunWorkload(EngineQEMU, w)
 	if err != nil {
 		return
 	}

@@ -12,7 +12,6 @@ import (
 
 	"captive/internal/guest/rv64"
 	rvasm "captive/internal/guest/rv64/asm"
-	"captive/internal/machine"
 	"captive/internal/perf"
 )
 
@@ -162,57 +161,26 @@ func rvVMSumKernel() *rvasm.Program {
 	return p
 }
 
-// RVResult is the outcome of one RV64 kernel run.
-type RVResult struct {
-	Seconds     float64
-	GuestInstrs uint64
-	Checksum    uint64 // x11 at exit
-}
-
-// RunRV64Workload executes an RV64 kernel on the chosen engine kind
-// (EngineCaptive or EngineQEMU) through rv64.Port.
-func RunRV64Workload(kind EngineKind, w RVWorkload, opt Options) (RVResult, error) {
-	img, err := w.Build().Assemble()
-	if err != nil {
-		return RVResult{}, err
-	}
-	m, err := machine.New(spec(kind, rv64.Port{}, opt))
-	if err != nil {
-		return RVResult{}, err
-	}
-	if err := m.Load(img, 0x1000, 0x1000); err != nil {
-		return RVResult{}, err
-	}
-	h := m.Hart(0)
-	if err := m.Run(interpSteps, opt.budget()); err != nil {
-		return RVResult{}, fmt.Errorf("bench %s/%s: %w (pc=%#x)", w.Name, kind, err, h.PC())
-	}
-	if halted, code := h.Halted(); !halted || code != 0 {
-		return RVResult{}, fmt.Errorf("bench %s/%s: no clean exit (halted=%v code=%#x)", w.Name, kind, halted, code)
-	}
-	return RVResult{
-		Seconds:     perf.Seconds(h.Metrics().SimDeciCycles),
-		GuestInstrs: h.GuestInstrs(),
-		Checksum:    h.Reg(11),
-	}, nil
-}
-
 // Table5 produces the retarget figure: per-kernel simulated runtimes on
 // both engines and the Captive-vs-QEMU speedup, with the geometric mean —
 // the same shape as the GA64 SPECint figure (Fig. 17), for the second
 // guest.
-func Table5(opt Options) (perf.Table, error) {
+func Table5() (perf.Table, error) {
 	t := perf.Table{
 		Title:   "Table 5: retargeted RV64 guest, Captive vs QEMU baseline",
 		Columns: []string{"qemu(s)", "captive(s)", "speedup"},
 	}
 	var ratios []float64
 	for _, w := range RVWorkloads() {
-		c, err := RunRV64Workload(EngineCaptive, w, opt)
+		img, err := rvImage(w.Build())
 		if err != nil {
 			return t, err
 		}
-		q, err := RunRV64Workload(EngineQEMU, w, opt)
+		c, err := run(EngineCaptive, rv64.Port{}, img, w.Name, 0, false)
+		if err != nil {
+			return t, err
+		}
+		q, err := run(EngineQEMU, rv64.Port{}, img, w.Name, 0, false)
 		if err != nil {
 			return t, err
 		}
@@ -220,8 +188,8 @@ func Table5(opt Options) (perf.Table, error) {
 			return t, fmt.Errorf("table5 %s: engines disagree: captive chk=%#x n=%d, qemu chk=%#x n=%d",
 				w.Name, c.Checksum, c.GuestInstrs, q.Checksum, q.GuestInstrs)
 		}
-		s := perf.Speedup(q.Seconds, c.Seconds)
-		t.Add(w.Name, q.Seconds, c.Seconds, s)
+		s := perf.Speedup(q.Seconds(), c.Seconds())
+		t.Add(w.Name, q.Seconds(), c.Seconds(), s)
 		ratios = append(ratios, s)
 	}
 	t.Add("Geo.Mean", 0, 0, perf.GeoMean(ratios))

@@ -1,24 +1,16 @@
 package bench
 
-// Multi-vCPU guest-MIPS scaling (ISSUE 8): the same per-hart kernel on 1, 2
-// and 4 truly-parallel vCPUs (core.SMP.RunParallel), reporting *aggregate*
-// guest MIPS — total retired guest instructions across every hart per host
-// wall-clock second. Each hart runs an identical LCG mix loop seeded by
-// mhartid, so the work is embarrassingly parallel and the figure isolates
-// the engine's scaling: shared-code-cache contention, the stop-the-world
-// checkpoint cost and the per-hart dispatcher. The x1 row runs the very same
-// kernel through the same parallel path, making it the in-figure baseline.
-//
-// These rows join the guest-MIPS JSON report under workload names of their
-// own ("smp-lcg-x<n>"), so the single-vCPU model gate against older
-// baselines is untouched.
+// The SMP rows of the model report: the same per-hart kernel on 1, 2 and 4
+// truly-parallel vCPUs (core.SMP.RunParallel). Each hart runs an identical
+// LCG mix loop seeded by mhartid, so the work is embarrassingly parallel and
+// exercises the shared code cache, the stop-the-world checkpoints and the
+// per-hart dispatcher. The x1 row runs the very same kernel through the same
+// parallel path. The rows carry workload names of their own
+// ("smp-lcg-x<n>"), so they never collide with single-vCPU rows.
 
 import (
-	"fmt"
-
 	"captive/internal/guest/rv64"
 	rvasm "captive/internal/guest/rv64/asm"
-	"captive/internal/machine"
 )
 
 // rvSMPKernel is the per-hart workload: an LCG register mix seeded by
@@ -38,47 +30,4 @@ func rvSMPKernel(iters uint64) *rvasm.Program {
 	p.Bne(10, rvasm.X0, "loop")
 	p.Ecall()
 	return p
-}
-
-// runRV64SMPMIPS runs the scaling kernel on n parallel vCPUs and reports
-// one aggregate row.
-func runRV64SMPMIPS(n int, iters uint64, opt Options) (MIPSRow, error) {
-	row := MIPSRow{Guest: "rv64", Workload: fmt.Sprintf("smp-lcg-x%d", n), Engine: "captive"}
-	img, err := rvSMPKernel(iters).Assemble()
-	if err != nil {
-		return row, err
-	}
-	sp := spec(EngineCaptive, rv64.Port{}, opt)
-	sp.VCPUs, sp.Parallel = n, true
-	m, err := machine.New(sp)
-	if err != nil {
-		return row, err
-	}
-	if err := m.Load(img, 0x1000, 0x1000); err != nil {
-		return row, err
-	}
-	if err := timeRun(&row, m, opt, 11); err != nil {
-		return row, err
-	}
-	if _, code := m.Hart(0).Halted(); code != 0 {
-		return row, fmt.Errorf("mips %s: exit code %#x", row.Key(), code)
-	}
-	return row, nil
-}
-
-// smpScalingCounts selects the vCPU counts measured; short mode trims the
-// four-way point so the CI smoke job stays fast.
-func smpScalingCounts(short bool) []int {
-	if short {
-		return []int{1, 2}
-	}
-	return []int{1, 2, 4}
-}
-
-// smpScalingIters sizes the per-hart kernel.
-func smpScalingIters(short bool) uint64 {
-	if short {
-		return 400_000
-	}
-	return 4_000_000
 }

@@ -225,7 +225,7 @@ func TestEnginePatchedBlockRerun(t *testing.T) {
 			if e.Reg(7) != 42 {
 				t.Errorf("patched routine: x7 = %d, want 42 (stale translation or superblock)", e.Reg(7))
 			}
-			if e.Stats.SMCInvals == 0 {
+			if e.Metrics().SMCInvals == 0 {
 				t.Error("SMC invalidation did not fire")
 			}
 		})

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"captive/internal/gen"
 	"captive/internal/guest/port"
 	"captive/internal/hvm"
+	"captive/internal/metrics"
 	"captive/internal/softfloat"
 	"captive/internal/trace"
 	"captive/internal/vx64"
@@ -42,34 +42,6 @@ const (
 	// is measurably heavier than Captive's direct dispatch.
 	costQDispatch = 400
 )
-
-// JITStats aggregates compilation statistics (Figs. 19/20, §3.4).
-type JITStats struct {
-	Blocks       int
-	GuestInstrs  int
-	DAGNodes     int
-	LIRInsts     int
-	CodeBytes    int
-	DeadInsts    int
-	Spills       int
-	DecodeTime   time.Duration
-	TranslateT   time.Duration
-	RegallocT    time.Duration
-	EncodeT      time.Duration
-	CacheFlushes uint64
-}
-
-// Stats aggregates runtime statistics.
-type Stats struct {
-	DispatchLoops  uint64
-	BlockChains    uint64
-	HostFaults     uint64
-	GuestFaults    uint64
-	IRQsDelivered  uint64
-	MMIOEmulations uint64
-	SMCInvals      uint64
-	TransFlushes   uint64 // guest TLB flush / regime changes
-}
 
 // Engine is the Captive execution engine for one guest vCPU (or, with
 // Kind == BackendQEMU, the QEMU-style baseline). A uniprocessor machine is
@@ -152,8 +124,9 @@ type Engine struct {
 
 	hooks port.Hooks
 
-	JIT   JITStats
-	Stats Stats
+	// stats holds the runtime event counters and the JIT statistics
+	// (Figs. 19/20, §3.4); Metrics fills in the live fields on read.
+	stats metrics.Snapshot
 }
 
 // itlbSize is the direct-mapped iTLB's entry count; fetch pages 16 MiB
@@ -370,7 +343,7 @@ func (e *Engine) LoadImage(data []byte, gpa, entry uint64) error {
 // vector to their handler; user-level guests halt with the port's exit code.
 func (e *Engine) raise(ex port.Exception) {
 	e.rec.Emit(trace.Exception, uint8(ex.Kind), e.VirtualTime(), ex.PC, ex.Addr)
-	e.Stats.GuestFaults++
+	e.stats.GuestFaults++
 	e.cpu.Stats.Cycles += costInjectExc
 	entry := e.sys.Take(ex, e.NZCV(), &e.hooks)
 	if entry.Halt {
@@ -390,7 +363,7 @@ func (e *Engine) raise(ex port.Exception) {
 // physical address (§2.6) — only the chain links are reset.
 func (e *Engine) translationChanged() {
 	e.rec.Emit(trace.TLBFlush, 0, e.VirtualTime(), e.cpu.R[vx64.RPC], 0)
-	e.Stats.TransFlushes++
+	e.stats.TransFlushes++
 	e.clearITLB()
 	if e.Kind == BackendQEMU {
 		// The baseline's translations are virtually indexed: everything
@@ -490,7 +463,7 @@ func (e *Engine) Run(budget uint64) error {
 // lookup/translation, chaining, and execution until the next trap back.
 // In parallel SMP mode this is the unit between stop-the-world checkpoints.
 func (e *Engine) dispatchOnce(limit uint64) error {
-	e.Stats.DispatchLoops++
+	e.stats.DispatchLoops++
 	if e.Kind == BackendQEMU {
 		e.cpu.Stats.Cycles += costQDispatch
 	} else {
@@ -505,7 +478,7 @@ func (e *Engine) dispatchOnce(limit uint64) error {
 	// same retired-instruction count on every engine.
 	if line := e.timerLine(); e.sys.PendingIRQ(line, &e.hooks) {
 		e.rec.Emit(trace.IRQ, boolArg(line), e.VirtualTime(), pc, 0)
-		e.Stats.IRQsDelivered++
+		e.stats.IRQsDelivered++
 		e.cpu.Stats.Cycles += costInjectExc
 		entry := e.sys.TakeIRQ(pc, line, e.NZCV(), &e.hooks)
 		if entry.Halt {
@@ -558,7 +531,7 @@ func (e *Engine) dispatchOnce(limit uint64) error {
 			(e.Kind != BackendQEMU || le.blk.DirectExit) {
 			if e.cache.chain(le.blk, le.idx, blk, pc) {
 				e.sh.allChained = append(e.sh.allChained, le)
-				e.Stats.BlockChains++
+				e.stats.BlockChains++
 				e.rec.Emit(trace.ChainPatch, 0, e.VirtualTime(), pc, le.blk.GPA)
 			}
 		}
@@ -684,7 +657,7 @@ func (e *Engine) unmask(va uint64) uint64 {
 // emulate MMIO, detect self-modifying code (§2.6), or inject a guest
 // exception. It returns done=true when a guest exception was injected.
 func (e *Engine) handleHostFault(trap vx64.Trap) (bool, error) {
-	e.Stats.HostFaults++
+	e.stats.HostFaults++
 	va := trap.Addr
 	if va > hvm.LowHalfMask {
 		return false, fmt.Errorf("core: engine fault outside guest range: %v", trap)
@@ -736,7 +709,7 @@ func (e *Engine) handleHostFault(trap vx64.Trap) (bool, error) {
 		// parallel mode; a sibling's stale read-only mapping re-faults
 		// once, sees the page unprotected and reinstalls writable.
 		e.rec.Emit(trace.SMCInval, 0, e.VirtualTime(), guestPC, gpaPage<<12)
-		e.Stats.SMCInvals++
+		e.stats.SMCInvals++
 		e.sh.exclusive(e, func() {
 			e.cache.invalidatePage(gpaPage)
 			for _, eng := range e.sh.engines {
@@ -768,7 +741,7 @@ func (e *Engine) accessStartVA(trap vx64.Trap, gva uint64) uint64 {
 // instruction, then resumes past it — the classic trap-and-emulate path of a
 // hardware hypervisor.
 func (e *Engine) emulateMMIO(trap vx64.Trap, gpa uint64) error {
-	e.Stats.MMIOEmulations++
+	e.stats.MMIOEmulations++
 	e.cpu.Stats.Cycles += costMMIOEmulate
 	in := trap.Inst
 	var width uint8

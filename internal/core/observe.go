@@ -72,57 +72,17 @@ func (e *Engine) ProfileSnapshot() []BlockProfile {
 	return out
 }
 
-// ProfileDecay ages every profile cell by the given right shift, so
-// long-running consumers (region selection, a future captived) can favour
-// recent heat without resetting history. Decay(0) is a no-op.
-func (e *Engine) ProfileDecay(shift uint) {
-	e.cpu.ProfPause()
-	for i := range e.cpu.Prof {
-		e.cpu.Prof[i].Runs >>= shift
-		e.cpu.Prof[i].Cycles >>= shift
-	}
-}
-
-// Metrics returns the unified metrics snapshot of this engine.
+// Metrics returns the unified metrics snapshot of this engine: the counters
+// the engine keeps as it runs, plus the live clock and VX64 counters.
 func (e *Engine) Metrics() metrics.Snapshot {
-	name := "captive"
+	m := e.stats
+	m.Engine = "captive"
 	if e.Kind == BackendQEMU {
-		name = "qemu"
+		m.Engine = "qemu"
 	}
 	cs := e.cpu.Stats
-	return metrics.Snapshot{
-		Engine:        name,
-		GuestInstrs:   e.GuestInstrs(),
-		VirtualTime:   e.VirtualTime(),
-		SimDeciCycles: cs.Cycles,
-
-		DispatchLoops:  e.Stats.DispatchLoops,
-		BlockChains:    e.Stats.BlockChains,
-		HostFaults:     e.Stats.HostFaults,
-		GuestFaults:    e.Stats.GuestFaults,
-		IRQsDelivered:  e.Stats.IRQsDelivered,
-		MMIOEmulations: e.Stats.MMIOEmulations,
-		SMCInvals:      e.Stats.SMCInvals,
-		TransFlushes:   e.Stats.TransFlushes,
-
-		JITBlocks:      e.JIT.Blocks,
-		JITGuestInstrs: e.JIT.GuestInstrs,
-		JITDAGNodes:    e.JIT.DAGNodes,
-		JITLIRInsts:    e.JIT.LIRInsts,
-		JITCodeBytes:   e.JIT.CodeBytes,
-		JITDeadInsts:   e.JIT.DeadInsts,
-		JITSpills:      e.JIT.Spills,
-		CacheFlushes:   e.JIT.CacheFlushes,
-
-		HostInsts:     cs.Insts,
-		HostTLBHits:   cs.TLBHits,
-		HostTLBMisses: cs.TLBMisses,
-		HostPageFault: cs.Faults,
-		HostHelpers:   cs.Helpers,
-
-		DecodeNS:    e.JIT.DecodeTime.Nanoseconds(),
-		TranslateNS: e.JIT.TranslateT.Nanoseconds(),
-		RegallocNS:  e.JIT.RegallocT.Nanoseconds(),
-		EncodeNS:    e.JIT.EncodeT.Nanoseconds(),
-	}
+	m.GuestInstrs, m.VirtualTime, m.SimDeciCycles = e.GuestInstrs(), e.VirtualTime(), cs.Cycles
+	m.HostInsts, m.HostTLBHits, m.HostTLBMisses = cs.Insts, cs.TLBHits, cs.TLBMisses
+	m.HostPageFault, m.HostHelpers = cs.Faults, cs.Helpers
+	return m
 }

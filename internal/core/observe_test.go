@@ -1,5 +1,5 @@
 // Tests of the engine introspection layer: the always-on hot-block
-// profiler (PROFCNT arena), its snapshot/decay APIs, the unified metrics
+// profiler (PROFCNT arena), its snapshot API, the unified metrics
 // snapshot, and the stats-counting parity between the Captive host-MMU and
 // QEMU softmmu paths.
 package core_test
@@ -10,6 +10,7 @@ import (
 	"captive/internal/core"
 	"captive/internal/guest/ga64"
 	"captive/internal/guest/ga64/asm"
+	"captive/internal/metrics"
 )
 
 // profProgram builds a three-temperature program: a hot loop (100k
@@ -131,32 +132,6 @@ func TestProfileRankingChainingInvariant(t *testing.T) {
 	}
 }
 
-// TestProfileDecay checks the aging API halves both counters and a
-// subsequent snapshot reflects it.
-func TestProfileDecay(t *testing.T) {
-	e := newKindEngine(t, false)
-	runCaptive(t, e, profProgram())
-	before := e.ProfileSnapshot()
-	e.ProfileDecay(1)
-	after := e.ProfileSnapshot()
-	bm := make(map[uint64]core.BlockProfile, len(before))
-	for _, bp := range before {
-		bm[bp.PC] = bp
-	}
-	for _, bp := range after {
-		b := bm[bp.PC]
-		if bp.Runs != b.Runs/2 || bp.Cycles != b.Cycles/2 {
-			t.Errorf("block %#x: decay(1) gave runs %d cycles %d, want %d / %d",
-				bp.PC, bp.Runs, bp.Cycles, b.Runs/2, b.Cycles/2)
-		}
-	}
-	// Decaying everything to zero empties the snapshot.
-	e.ProfileDecay(64)
-	if got := e.ProfileSnapshot(); len(got) != 0 {
-		t.Errorf("decay(64) left %d rows", len(got))
-	}
-}
-
 // TestStatsPathParity is the counting-parity audit between the two memory
 // architectures: the Captive engine reaches device and SMC handling through
 // host-MMU faults, the QEMU baseline through softmmu misses, but the
@@ -191,10 +166,10 @@ func TestStatsPathParity(t *testing.T) {
 		p.Ret()
 		return p
 	}
-	run := func(qemu bool) core.Stats {
+	run := func(qemu bool) metrics.Snapshot {
 		e := newKindEngine(t, qemu)
 		runCaptive(t, e, build())
-		return e.Stats
+		return e.Metrics()
 	}
 	cap, qemu := run(false), run(true)
 	if cap.MMIOEmulations != 6 || qemu.MMIOEmulations != 6 {
@@ -225,7 +200,8 @@ func TestStatsPathParity(t *testing.T) {
 }
 
 // TestMetricsSnapshot checks the unified snapshot agrees with the engine's
-// own counters on both backends.
+// live clock and instruction count, and that its JIT section is coherent,
+// on both backends.
 func TestMetricsSnapshot(t *testing.T) {
 	for _, cfg := range []struct {
 		name string
@@ -246,8 +222,9 @@ func TestMetricsSnapshot(t *testing.T) {
 				t.Errorf("snapshot disagrees with engine: instrs %d vs %d, cycles %d vs %d",
 					m.GuestInstrs, e.GuestInstrs(), m.SimDeciCycles, e.Cycles())
 			}
-			if m.JITBlocks != e.JIT.Blocks || m.JITCodeBytes != e.JIT.CodeBytes {
-				t.Errorf("JIT section disagrees: blocks %d vs %d", m.JITBlocks, e.JIT.Blocks)
+			if m.JITCodeBytes == 0 || m.JITLIRInsts < m.JITBlocks || len(e.ProfileSnapshot()) > m.JITBlocks {
+				t.Errorf("JIT section incoherent: %d blocks, %d LIR insts, %d code bytes, %d profiled blocks",
+					m.JITBlocks, m.JITLIRInsts, m.JITCodeBytes, len(e.ProfileSnapshot()))
 			}
 			if m.VirtualTime < m.GuestInstrs {
 				t.Errorf("virtual time %d below instruction count %d", m.VirtualTime, m.GuestInstrs)

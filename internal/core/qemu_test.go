@@ -44,8 +44,8 @@ func TestQemuArithmeticAndMemory(t *testing.T) {
 	}
 	// Softmmu path: no host page faults expected (the addend points at the
 	// direct map).
-	if e.Stats.HostFaults != 0 {
-		t.Errorf("qemu baseline should not host-fault, got %d", e.Stats.HostFaults)
+	if e.Metrics().HostFaults != 0 {
+		t.Errorf("qemu baseline should not host-fault, got %d", e.Metrics().HostFaults)
 	}
 }
 
@@ -97,7 +97,7 @@ func TestQemuExceptionsAndMMU(t *testing.T) {
 		t.Errorf("X3=%#x X4=%d", e.Reg(3), e.Reg(4))
 	}
 	// The baseline flushed its translation cache when the MMU came on.
-	if e.JIT.CacheFlushes == 0 {
+	if e.Metrics().CacheFlushes == 0 {
 		t.Error("VA-indexed cache must flush on translation changes")
 	}
 }
@@ -137,7 +137,7 @@ func TestQemuSMC(t *testing.T) {
 	if e.Reg(5) != 1 || e.Reg(6) != 2 {
 		t.Errorf("SMC: first=%d second=%d", e.Reg(5), e.Reg(6))
 	}
-	if e.Stats.SMCInvals == 0 {
+	if e.Metrics().SMCInvals == 0 {
 		t.Error("expected dirty-page invalidation")
 	}
 }
@@ -278,8 +278,8 @@ func TestQemuFlushReusesCodeRegion(t *testing.T) {
 	if e.Reg(0) != 40 || e.Reg(1) != x1 || e.Reg(3) != x3 {
 		t.Errorf("x0=%d x1=%d x3=%#x, want 40 %d %#x", e.Reg(0), e.Reg(1), e.Reg(3), x1, x3)
 	}
-	if e.JIT.CacheFlushes != 1 {
-		t.Fatalf("cache flushes = %d, want 1", e.JIT.CacheFlushes)
+	if e.Metrics().CacheFlushes != 1 {
+		t.Fatalf("cache flushes = %d, want 1", e.Metrics().CacheFlushes)
 	}
 	if bytes.Equal(sink.head, sink.code[:64]) {
 		t.Fatal("post-flush translations did not reuse the code region's first bytes")

@@ -30,7 +30,7 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	t0 := time.Now()
 	decs, undef := port.ScanBlock(e.module, e.fetchRead, gpa, e.scanBuf[:0])
 	e.scanBuf = decs
-	e.JIT.DecodeTime += time.Since(t0)
+	e.stats.DecodeNS += time.Since(t0).Nanoseconds()
 
 	// --- translate (§2.3.2) ---
 	t1 := time.Now()
@@ -89,8 +89,8 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	})
 	em.emitBr(vx64.Inst{Op: vx64.JMP}, epi.id)
 	lir := em.Finalize()
-	e.JIT.TranslateT += time.Since(t1)
-	e.JIT.DAGNodes += em.DAGNodes
+	e.stats.TranslateNS += time.Since(t1).Nanoseconds()
+	e.stats.JITDAGNodes += em.DAGNodes
 
 	// --- register allocation (§2.3.3) ---
 	t2 := time.Now()
@@ -98,9 +98,9 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: block at %#x: %w", pc, err)
 	}
-	e.JIT.RegallocT += time.Since(t2)
-	e.JIT.DeadInsts += astats.Dead
-	e.JIT.Spills += astats.Spilled
+	e.stats.RegallocNS += time.Since(t2).Nanoseconds()
+	e.stats.JITDeadInsts += astats.Dead
+	e.stats.JITSpills += astats.Spilled
 
 	// --- encode (§2.3.4) ---
 	t3 := time.Now()
@@ -123,7 +123,7 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	}
 	copy(e.vm.Mem.Bytes(pa, uint64(len(code))), code)
 	e.cache.invalidateCode(pa, uint64(len(code)))
-	e.JIT.EncodeT += time.Since(t3)
+	e.stats.EncodeNS += time.Since(t3).Nanoseconds()
 
 	key := gpa
 	if e.Kind == BackendQEMU {
@@ -177,10 +177,10 @@ func (e *Engine) translateBlock(pc, gpa uint64, el uint8) (*Block, error) {
 	} else {
 		e.cpu.Stats.Cycles += costJITBase + costJITPerLIR*charged
 	}
-	e.JIT.Blocks++
-	e.JIT.GuestInstrs += n
-	e.JIT.LIRInsts += len(alloc)
-	e.JIT.CodeBytes += len(code)
+	e.stats.JITBlocks++
+	e.stats.JITGuestInstrs += n
+	e.stats.JITLIRInsts += len(alloc)
+	e.stats.JITCodeBytes += len(code)
 	e.rec.Emit(trace.Translate, uint8(el), e.VirtualTime(), pc, uint64(len(code)))
 	return blk, nil
 }
@@ -192,7 +192,7 @@ func (e *Engine) flushTranslations() {
 	e.cache.flushAll()
 	clear(sh.exits)
 	sh.allChained = sh.allChained[:0]
-	e.JIT.CacheFlushes++
+	e.stats.CacheFlushes++
 	for _, eng := range sh.engines {
 		eng.lastExitOK = false
 		// Protections become stale (no code pages remain).

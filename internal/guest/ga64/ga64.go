@@ -37,17 +37,24 @@ func NewModule(level ssa.OptLevel) (*gen.Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := ssa.NewRegistry()
-	reg.AddBank(file.Bank("X"), "gpr")
-	reg.AddBank(file.Bank("VL"), "vl")
-	reg.AddBank(file.Bank("VH"), "vh")
-	reg.AddBank(file.Bank("NZCV"), "flags")
-	m, err := gen.Build(file, reg, level)
+	m, err := gen.Build(file, NewRegistry(file), level)
 	if err != nil {
 		return nil, err
 	}
 	moduleCache[level] = m
 	return m, nil
+}
+
+// NewRegistry returns a register-bank registry for a parse of Source: the
+// general-purpose bank X, the two halves VL/VH of the vector bank and the
+// NZCV flags, each with the accessor class the generator emits for it.
+func NewRegistry(file *adl.File) *ssa.Registry {
+	reg := ssa.NewRegistry()
+	reg.AddBank(file.Bank("X"), "gpr")
+	reg.AddBank(file.Bank("VL"), "vl")
+	reg.AddBank(file.Bank("VH"), "vh")
+	reg.AddBank(file.Bank("NZCV"), "flags")
+	return reg
 }
 
 // MustModule returns the O4 module, panicking on model errors (the model is

@@ -1,9 +1,11 @@
 // Package metrics defines the unified, exported metrics snapshot of the
 // execution engines: one flat, JSON-taggable struct covering the runtime
-// counters (core.Stats), the compilation statistics (core.JITStats) and the
-// simulated host CPU's architectural counters, so the three engines —
-// Captive, the QEMU-style baseline and the reference interpreter — export
-// through one diffable shape (cmd/captive -metrics, cmd/bench -json).
+// event counters, the compilation statistics and the simulated host CPU's
+// architectural counters, so the three engines — Captive, the QEMU-style
+// baseline and the reference interpreter — export through one diffable
+// shape (cmd/captive -metrics, cmd/bench -json, perfbench). A DBT engine
+// counts straight into a Snapshot as it runs; Engine.Metrics adds the live
+// clock and VX64 counters.
 //
 // The struct deliberately lives below internal/core in the import graph
 // (it imports nothing) so benchmarks, difftest and future services
@@ -18,8 +20,8 @@ package metrics
 // counters, JIT size counters) are bit-identical across runs of the same
 // program and may be compared or regression-gated; the *wall-clock-derived*
 // fields (the *_ns translation times) measure the real host and must be
-// ignored by any baseline comparison — bench.MergeBaseline never reads
-// them.
+// ignored by any baseline comparison — the model gate
+// (bench.ModelReport.CheckBaseline) never reads them.
 type Snapshot struct {
 	Engine string `json:"engine,omitempty"` // captive | qemu | interp
 

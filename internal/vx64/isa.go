@@ -215,9 +215,6 @@ func (c Cond) String() string {
 	return fmt.Sprintf("cond%d", uint8(c))
 }
 
-// Negate returns the inverse condition.
-func (c Cond) Negate() Cond { return c ^ 1 }
-
 // Mem describes a memory operand [Base + Index*Scale + Disp].
 type Mem struct {
 	Base  Reg
